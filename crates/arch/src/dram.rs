@@ -47,6 +47,17 @@ impl DramSpec {
         DramSpec::new("HBM2-64B", 64.0, 4.0)
     }
 
+    /// Parse the short name used by CLI flags and architecture files
+    /// (`lpddr4`, `lpddr4-128`, `hbm2`).
+    pub fn from_name(name: &str) -> Option<DramSpec> {
+        match name {
+            "lpddr4" => Some(DramSpec::lpddr4_64()),
+            "lpddr4-128" => Some(DramSpec::lpddr4_128()),
+            "hbm2" => Some(DramSpec::hbm2_64()),
+            _ => None,
+        }
+    }
+
     /// Interface name.
     pub fn name(&self) -> &str {
         &self.name

@@ -193,6 +193,16 @@ pub fn open(text: &str) -> (&str, Integrity) {
             )),
         );
     }
+    if !text.is_char_boundary(len) {
+        // A corrupted length can land inside a multi-byte character;
+        // slicing there would panic.
+        return (
+            &text[..footer_start],
+            Integrity::Damaged(format!(
+                "payload length mismatch: footer len {len} splits a UTF-8 character"
+            )),
+        );
+    }
     let payload = &text[..len];
     if !text[len..footer_start].trim().is_empty() {
         return (
@@ -577,11 +587,9 @@ pub fn load_recoverable<T>(
     let primary_failure: String;
     match read_verified(path) {
         Ok((payload, integrity)) => {
-            let envelope_note = match &integrity {
-                Integrity::Damaged(reason) => Some(reason.clone()),
-                _ => None,
-            };
-            if envelope_note.is_none() {
+            if let Integrity::Damaged(reason) = integrity {
+                primary_failure = reason;
+            } else {
                 match parse(&payload) {
                     Ok(value) => {
                         return Ok(Recovered {
@@ -592,16 +600,12 @@ pub fn load_recoverable<T>(
                     }
                     Err(e) => primary_failure = e,
                 }
-            } else {
-                primary_failure = envelope_note.unwrap();
             }
             if let Some((value, note)) = salvage(&payload) {
                 return Ok(Recovered {
                     value,
                     source: LoadSource::PrimarySalvaged,
-                    warnings: vec![format!(
-                        "salvaged '{display}' ({primary_failure}): {note}"
-                    )],
+                    warnings: vec![format!("salvaged '{display}' ({primary_failure}): {note}")],
                 });
             }
         }
@@ -871,6 +875,15 @@ pub fn salvage_jsonl_lines(text: &str) -> (Vec<&str>, bool) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Injected faults are process-global, so a test that writes could
+    /// consume (or disarm) another test's faults: writers run one at a
+    /// time.
+    fn serialise_writes() -> MutexGuard<'static, ()> {
+        static WRITES: Mutex<()> = Mutex::new(());
+        WRITES.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         static N: AtomicU32 = AtomicU32::new(0);
@@ -920,7 +933,10 @@ mod tests {
         let footer_at = sealed.rfind(FOOTER_PREFIX).unwrap();
         let mangled = format!("{}{}", &sealed[..10], &sealed[footer_at..]);
         let (_, integrity) = open(&mangled);
-        assert!(matches!(integrity, Integrity::Damaged(_)), "got {integrity:?}");
+        assert!(
+            matches!(integrity, Integrity::Damaged(_)),
+            "got {integrity:?}"
+        );
     }
 
     #[test]
@@ -928,7 +944,10 @@ mod tests {
         let sealed = seal("{\"a\": 1}");
         let mangled = sealed.replace("fnv1a=", "fnv1a=zz");
         let (_, integrity) = open(&mangled);
-        assert!(matches!(integrity, Integrity::Damaged(_)), "got {integrity:?}");
+        assert!(
+            matches!(integrity, Integrity::Damaged(_)),
+            "got {integrity:?}"
+        );
     }
 
     #[test]
@@ -942,6 +961,7 @@ mod tests {
 
     #[test]
     fn write_durable_keeps_a_backup_generation() {
+        let _writes = serialise_writes();
         let dir = tmpdir("bak");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy::fast();
@@ -958,6 +978,7 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_within_budget() {
+        let _writes = serialise_writes();
         let dir = tmpdir("retry");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
@@ -976,6 +997,7 @@ mod tests {
 
     #[test]
     fn persistent_faults_exhaust_retries_with_typed_error() {
+        let _writes = serialise_writes();
         let dir = tmpdir("enospc");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy {
@@ -987,7 +1009,11 @@ mod tests {
         let res = write_durable(&path, "{}", &policy);
         fault::disarm();
         match res {
-            Err(ArtifactError::Io { ref path, ref message, .. }) => {
+            Err(ArtifactError::Io {
+                ref path,
+                ref message,
+                ..
+            }) => {
                 assert!(path.contains("state.json"));
                 assert!(message.contains("injected"));
             }
@@ -1008,6 +1034,7 @@ mod tests {
 
     #[test]
     fn load_recoverable_falls_back_to_backup_on_corruption() {
+        let _writes = serialise_writes();
         let dir = tmpdir("ladder");
         let path = dir.join("state.json");
         let policy = DurabilityPolicy::fast();

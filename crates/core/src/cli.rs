@@ -10,13 +10,12 @@ use secureloop_arch::{Architecture, Dataflow, DramSpec};
 use secureloop_artifact::DurabilityPolicy;
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_json::Json;
-use secureloop_mapper::{SearchConfig, SearchMode};
-use secureloop_workload::{zoo, Network};
+use secureloop_workload::Network;
 
-use crate::annealing::AnnealingConfig;
 use crate::dse::{apply_scheme, evaluate_designs_sweep, fig16_design_space, pareto_front};
 use crate::error::SecureLoopError;
 use crate::report;
+use crate::run::{self, Defaults, RunSpec};
 use crate::scheduler::{Algorithm, LayerOutcome, Scheduler};
 
 /// Usage text printed on argument errors.
@@ -202,42 +201,22 @@ fn arch_err(field: impl Into<String>, message: impl Into<String>) -> CliError {
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Subcommand: `schedule`, `dse` or `workloads`.
+    /// Subcommand: `schedule`, `dse`, `trace`, `serve`, `suite`,
+    /// `compare-schemes` or `workloads`.
     pub command: String,
-    /// Workload name.
-    pub workload: Option<String>,
-    /// Algorithm.
-    pub algorithm: Algorithm,
-    /// Engine class.
-    pub engine: EngineClass,
-    /// Engine count (0 = no crypto).
-    pub engines: usize,
-    /// Protection scheme (`--scheme`): `None` keeps the default
-    /// AES-GCM pricing from the arch file / engine flags.
-    pub scheme: Option<SchemeId>,
-    /// PE array.
-    pub pe: (usize, usize),
-    /// GLB capacity in kB.
-    pub glb_kb: u64,
-    /// DRAM interface name.
-    pub dram: String,
-    /// Mapper samples.
-    pub samples: usize,
-    /// Mapper exploration strategy (`--search-mode`).
-    pub search_mode: SearchMode,
-    /// SA iterations.
-    pub iterations: usize,
-    /// Seed.
-    pub seed: u64,
+    /// The run description (`--workload`, `--algorithm`, `--scheme`,
+    /// `--samples`, `--search-mode`, `--iterations`, `--seed`,
+    /// `--deadline-secs`).
+    pub run: RunSpec,
+    /// The architecture from `--pe`, `--glb-kb`, `--dram`, `--engine`
+    /// and `--engines`; `--arch-file` replaces it.
+    pub arch: ArchFile,
     /// JSON output.
     pub json: bool,
     /// Layer index for the `trace` command.
     pub layer: usize,
     /// Optional JSON architecture file.
     pub arch_file: Option<String>,
-    /// Wall-clock budget (seconds) per layer search and per annealed
-    /// segment.
-    pub deadline_secs: Option<f64>,
     /// Checkpoint file for the `dse` command.
     pub checkpoint: Option<String>,
     /// Restore finished design points from the checkpoint.
@@ -284,22 +263,15 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             command: String::new(),
-            workload: None,
-            algorithm: Algorithm::CryptOptCross,
-            engine: EngineClass::Parallel,
-            engines: 3,
-            scheme: None,
-            pe: (14, 12),
-            glb_kb: 131,
-            dram: "lpddr4".into(),
-            samples: 3000,
-            search_mode: SearchMode::Guided,
-            iterations: 1000,
-            seed: 1,
+            run: RunSpec::new(defaults("")),
+            // The Eyeriss base with three parallel AES-GCM engines.
+            arch: ArchFile {
+                engines: Some(3),
+                ..ArchFile::default()
+            },
             json: false,
             layer: 0,
             arch_file: None,
-            deadline_secs: None,
             checkpoint: None,
             resume: false,
             cache: true,
@@ -322,6 +294,58 @@ impl Default for Options {
     }
 }
 
+/// The [`Defaults`] row a command runs with.
+fn defaults(command: &str) -> &'static Defaults {
+    match command {
+        "trace" => &Defaults::TRACE,
+        "dse" | "serve" => &Defaults::SWEEP,
+        "suite" => &Defaults::SUITE,
+        _ => &Defaults::SCHEDULE,
+    }
+}
+
+/// The flags that set [`RunSpec`] fields, with their keys.
+const RUN_FLAGS: [(&str, &str); 8] = [
+    ("--workload", "workload"),
+    ("--algorithm", "algorithm"),
+    ("--scheme", "scheme"),
+    ("--samples", "samples"),
+    ("--iterations", "iterations"),
+    ("--seed", "seed"),
+    ("--deadline-secs", "deadline_secs"),
+    ("--search-mode", "search_mode"),
+];
+
+/// A flag value as JSON, typed the way it reads: a number if it parses
+/// as one, otherwise a string. [`RunSpec::set`] then checks the type.
+fn flag_value(v: &str) -> Json {
+    v.parse::<u64>()
+        .map(Json::from)
+        .or_else(|_| v.parse::<f64>().map(Json::from))
+        .unwrap_or_else(|_| Json::from(v))
+}
+
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
+    v.parse()
+        .map_err(|_| usage(format!("{flag} expects a number, got '{v}'")))
+}
+
+fn at_least_one(flag: &str, v: &str) -> Result<usize, CliError> {
+    match num(flag, v)? {
+        0 => Err(usage(format!("{flag} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+fn positive_secs(flag: &str, v: &str) -> Result<f64, CliError> {
+    let secs: f64 = num(flag, v)?;
+    if secs.is_finite() && secs > 0.0 {
+        Ok(secs)
+    } else {
+        Err(usage(format!("{flag} must be a positive number")))
+    }
+}
+
 /// Parse raw arguments.
 ///
 /// # Errors
@@ -337,123 +361,50 @@ pub fn parse(args: &[String]) -> Result<Options, CliError> {
     ) {
         return Err(usage(format!("unknown command '{}'", opts.command)));
     }
+    opts.run = RunSpec::new(defaults(&opts.command));
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| usage(format!("flag {flag} needs a value")))
         };
+        if let Some((_, key)) = RUN_FLAGS.iter().find(|(f, _)| f == flag) {
+            let v = flag_value(&value()?);
+            opts.run
+                .set(key, &v)
+                .map_err(|e| usage(format!("{flag}: {e}")))?;
+            continue;
+        }
         match flag.as_str() {
-            "--workload" => opts.workload = Some(value()?),
-            "--algorithm" => {
-                opts.algorithm = match value()?.as_str() {
-                    "unsecure" => Algorithm::Unsecure,
-                    "crypt-tile-single" => Algorithm::CryptTileSingle,
-                    "crypt-opt-single" => Algorithm::CryptOptSingle,
-                    "crypt-opt-cross" => Algorithm::CryptOptCross,
-                    other => return Err(usage(format!("unknown algorithm '{other}'"))),
-                }
-            }
+            // Checked here too, so every command rejects a bad engine
+            // name, not just those that build the architecture.
             "--engine" => {
-                opts.engine = match value()?.as_str() {
-                    "pipelined" => EngineClass::Pipelined,
-                    "parallel" => EngineClass::Parallel,
-                    "serial" => EngineClass::Serial,
-                    other => return Err(usage(format!("unknown engine '{other}'"))),
-                }
-            }
-            "--engines" => {
-                opts.engines = value()?
-                    .parse()
-                    .map_err(|_| usage("--engines expects an integer"))?
-            }
-            "--scheme" => {
                 let v = value()?;
-                opts.scheme = Some(SchemeId::from_name(&v).ok_or_else(|| {
-                    usage(format!(
-                        "unknown scheme '{v}' (expected none | aes-gcm | seculator | seda)"
-                    ))
-                })?);
+                EngineClass::from_name(&v).ok_or_else(|| usage(format!("unknown engine '{v}'")))?;
+                opts.arch.engine = Some(v);
             }
+            "--engines" => opts.arch.engines = Some(num(flag, &value()?)?),
             "--pe" => {
                 let v = value()?;
                 let (x, y) = v
                     .split_once('x')
                     .ok_or_else(|| usage("--pe expects XxY, e.g. 14x12"))?;
-                opts.pe = (
-                    x.parse().map_err(|_| usage("bad PE width"))?,
-                    y.parse().map_err(|_| usage("bad PE height"))?,
-                );
+                opts.arch.pe = Some([num(flag, x)?, num(flag, y)?]);
             }
-            "--glb-kb" => {
-                opts.glb_kb = value()?
-                    .parse()
-                    .map_err(|_| usage("--glb-kb expects an integer"))?
-            }
-            "--dram" => opts.dram = value()?,
-            "--search-mode" => {
-                let v = value()?;
-                opts.search_mode = SearchMode::from_name(&v)
-                    .ok_or_else(|| usage(format!("unknown search mode '{v}'")))?;
-            }
-            "--samples" => {
-                opts.samples = value()?
-                    .parse()
-                    .map_err(|_| usage("--samples expects an integer"))?
-            }
-            "--iterations" => {
-                opts.iterations = value()?
-                    .parse()
-                    .map_err(|_| usage("--iterations expects an integer"))?
-            }
-            "--seed" => {
-                opts.seed = value()?
-                    .parse()
-                    .map_err(|_| usage("--seed expects an integer"))?
-            }
+            "--glb-kb" => opts.arch.glb_kb = Some(num(flag, &value()?)?),
+            "--dram" => opts.arch.dram = Some(value()?),
             "--json" => opts.json = true,
             "--arch-file" => opts.arch_file = Some(value()?),
-            "--deadline-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--deadline-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(usage("--deadline-secs must be a non-negative number"));
-                }
-                opts.deadline_secs = Some(secs);
-            }
             "--checkpoint" => opts.checkpoint = Some(value()?),
             "--resume" => opts.resume = true,
             "--no-cache" => opts.cache = false,
             "--cache-file" => opts.cache_file = Some(value()?),
-            "--workers" => {
-                opts.workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--workers expects an integer"))?;
-                if opts.workers == 0 {
-                    return Err(usage("--workers must be at least 1"));
-                }
-            }
-            "--max-retries" => {
-                opts.max_retries = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--max-retries expects an integer"))?,
-                )
-            }
-            "--task-timeout-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--task-timeout-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(usage("--task-timeout-secs must be a positive number"));
-                }
-                opts.task_timeout_secs = Some(secs);
-            }
+            "--workers" => opts.workers = at_least_one(flag, &value()?)?,
+            "--max-retries" => opts.max_retries = Some(num(flag, &value()?)?),
+            "--task-timeout-secs" => opts.task_timeout_secs = Some(positive_secs(flag, &value()?)?),
             "--trace-out" => opts.trace_out = Some(value()?),
             "--durability" => {
-                let v = value()?;
-                opts.durability.fsync = match v.as_str() {
+                opts.durability.fsync = match value()?.as_str() {
                     "full" => true,
                     "fast" => false,
                     other => {
@@ -463,77 +414,21 @@ pub fn parse(args: &[String]) -> Result<Options, CliError> {
                     }
                 };
             }
-            "--io-retries" => {
-                opts.durability.retries = value()?
-                    .parse()
-                    .map_err(|_| usage("--io-retries expects an integer"))?
-            }
+            "--io-retries" => opts.durability.retries = num(flag, &value()?)?,
             "--io-backoff-ms" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--io-backoff-ms expects an integer (milliseconds)"))?;
-                opts.durability.backoff = Duration::from_millis(ms);
+                opts.durability.backoff = Duration::from_millis(num(flag, &value()?)?)
             }
             "--state-dir" => opts.state_dir = Some(value()?),
-            "--queue-depth" => {
-                opts.queue_depth = value()?
-                    .parse()
-                    .map_err(|_| usage("--queue-depth expects an integer"))?;
-                if opts.queue_depth == 0 {
-                    return Err(usage("--queue-depth must be at least 1"));
-                }
-            }
-            "--service-workers" => {
-                opts.service_workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--service-workers expects an integer"))?;
-                if opts.service_workers == 0 {
-                    return Err(usage("--service-workers must be at least 1"));
-                }
-            }
-            "--job-workers" => {
-                opts.job_workers = value()?
-                    .parse()
-                    .map_err(|_| usage("--job-workers expects an integer"))?;
-                if opts.job_workers == 0 {
-                    return Err(usage("--job-workers must be at least 1"));
-                }
-            }
-            "--cache-budget-mb" => {
-                opts.cache_budget_mb = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--cache-budget-mb expects an integer"))?,
-                )
-            }
-            "--admit-max-samples" => {
-                opts.admit_max_samples = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--admit-max-samples expects an integer"))?,
-                )
-            }
-            "--admit-max-designs" => {
-                opts.admit_max_designs = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| usage("--admit-max-designs expects an integer"))?,
-                )
-            }
+            "--queue-depth" => opts.queue_depth = at_least_one(flag, &value()?)?,
+            "--service-workers" => opts.service_workers = at_least_one(flag, &value()?)?,
+            "--job-workers" => opts.job_workers = at_least_one(flag, &value()?)?,
+            "--cache-budget-mb" => opts.cache_budget_mb = Some(num(flag, &value()?)?),
+            "--admit-max-samples" => opts.admit_max_samples = Some(num(flag, &value()?)?),
+            "--admit-max-designs" => opts.admit_max_designs = Some(num(flag, &value()?)?),
             "--admit-max-deadline-secs" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|_| usage("--admit-max-deadline-secs expects a number of seconds"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(usage("--admit-max-deadline-secs must be a positive number"));
-                }
-                opts.admit_max_deadline_secs = Some(secs);
+                opts.admit_max_deadline_secs = Some(positive_secs(flag, &value()?)?)
             }
-            "--layer" => {
-                opts.layer = value()?
-                    .parse()
-                    .map_err(|_| usage("--layer expects an index"))?
-            }
+            "--layer" => opts.layer = num(flag, &value()?)?,
             other
                 if !other.starts_with('-')
                     && opts.command == "suite"
@@ -545,29 +440,6 @@ pub fn parse(args: &[String]) -> Result<Options, CliError> {
         }
     }
     Ok(opts)
-}
-
-/// Workload names accepted by `--workload` and scenario files, one per
-/// line — the `workloads` command prints exactly this list.
-pub(crate) const WORKLOAD_NAMES: &str = "alexnet\nalexnet_grouped\nresnet18\nresnet50\n\
-mobilenet_v2\nvgg16\nmlp\nattention\nllm_decode\nvit_tiny\ndilated_context\nresnext";
-
-pub(crate) fn workload(name: &str) -> Result<Network, CliError> {
-    match name {
-        "alexnet" => Ok(zoo::alexnet_conv()),
-        "alexnet_grouped" => Ok(zoo::alexnet_conv_grouped()),
-        "resnet18" => Ok(zoo::resnet18()),
-        "resnet50" => Ok(zoo::resnet50()),
-        "mobilenet_v2" | "mobilenetv2" => Ok(zoo::mobilenet_v2()),
-        "vgg16" => Ok(zoo::vgg16()),
-        "mlp" => Ok(zoo::mlp(4, 4096)),
-        "attention" => Ok(zoo::attention(128, 512)),
-        "llm_decode" => Ok(zoo::llm_decode(1024)),
-        "vit_tiny" => Ok(zoo::vit_tiny(2)),
-        "dilated_context" => Ok(zoo::dilated_context(56, 64, 4)),
-        "resnext" => Ok(zoo::resnext_stage(28, 128, 32, 2)),
-        other => Err(usage(format!("unknown workload '{other}'"))),
-    }
 }
 
 /// JSON architecture description accepted by `--arch-file`.
@@ -741,32 +613,9 @@ impl ArchFile {
             }
         }
         if let Some(s) = &self.scheme {
-            if SchemeId::from_name(s).is_none() {
-                return Err(arch_err(
-                    "scheme",
-                    format!("unknown scheme '{s}' (expected none | aes-gcm | seculator | seda)"),
-                ));
-            }
+            run::scheme(s).map_err(|e| arch_err("scheme", e))?;
         }
         Ok(())
-    }
-}
-
-fn dram_by_name(name: &str) -> Result<DramSpec, CliError> {
-    match name {
-        "lpddr4" => Ok(DramSpec::lpddr4_64()),
-        "lpddr4-128" => Ok(DramSpec::lpddr4_128()),
-        "hbm2" => Ok(DramSpec::hbm2_64()),
-        other => Err(usage(format!("unknown dram '{other}'"))),
-    }
-}
-
-fn engine_by_name(name: &str) -> Result<EngineClass, CliError> {
-    match name {
-        "pipelined" => Ok(EngineClass::Pipelined),
-        "parallel" => Ok(EngineClass::Parallel),
-        "serial" => Ok(EngineClass::Serial),
-        other => Err(usage(format!("unknown engine '{other}'"))),
     }
 }
 
@@ -786,9 +635,9 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
         arch = arch.with_noc_bytes_per_cycle(bw);
     }
     if let Some(d) = &f.dram {
-        arch = arch.with_dram(
-            dram_by_name(d).map_err(|_| arch_err("dram", format!("unknown interface '{d}'")))?,
-        );
+        let dram = DramSpec::from_name(d)
+            .ok_or_else(|| arch_err("dram", format!("unknown interface '{d}'")))?;
+        arch = arch.with_dram(dram);
     }
     if let Some(df) = &f.dataflow {
         arch = arch.with_dataflow(match df.as_str() {
@@ -799,42 +648,21 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
             other => return Err(arch_err("dataflow", format!("unknown dataflow '{other}'"))),
         });
     }
-    let scheme = match f.scheme.as_deref() {
-        None => None,
-        Some(s) => Some(
-            SchemeId::from_name(s)
-                .ok_or_else(|| arch_err("scheme", format!("unknown scheme '{s}'")))?,
-        ),
-    };
     let count = f.engines.unwrap_or(if f.engine.is_some() { 3 } else { 0 });
-    if count == 0 && scheme.is_some_and(|s| s != SchemeId::None) {
-        return Err(arch_err(
-            "scheme",
-            format!(
-                "scheme '{}' needs a crypto engine configuration (engines > 0)",
-                scheme.unwrap()
-            ),
-        ));
+    if count > 0 {
+        let class = EngineClass::from_name(f.engine.as_deref().unwrap_or("parallel"))
+            .ok_or_else(|| arch_err("engine", "expected pipelined | parallel | serial"))?;
+        arch = arch.with_crypto(CryptoConfig::new(class, count));
     }
-    if count > 0 && scheme != Some(SchemeId::None) {
-        let class = engine_by_name(f.engine.as_deref().unwrap_or("parallel"))
-            .map_err(|_| arch_err("engine", "expected pipelined | parallel | serial"))?;
-        let mut cfg = CryptoConfig::new(class, count);
-        if let Some(s) = scheme {
-            if !s.model().supports(class) {
-                return Err(arch_err(
-                    "scheme",
-                    format!("scheme '{s}' does not support the {class} engine class"),
-                ));
-            }
-            // `with_scheme` adopts the scheme's default tag width; an
-            // explicit `tag_bits` below still overrides it.
-            cfg = cfg.with_scheme(s);
-        }
-        if let Some(tag) = f.tag_bits {
-            cfg.tag_bits = tag;
-        }
-        arch = arch.with_crypto(cfg);
+    if let Some(s) = &f.scheme {
+        let s = run::scheme(s).map_err(|e| arch_err("scheme", e))?;
+        arch = apply_scheme(&arch, s).map_err(|e| arch_err("scheme", e))?;
+    }
+    // An explicit tag width overrides the scheme's default.
+    if let (Some(tag), Some(cc)) = (f.tag_bits, arch.crypto()) {
+        let mut cc = cc.clone();
+        cc.tag_bits = tag;
+        arch = arch.with_crypto(cc);
     }
     Ok(arch)
 }
@@ -843,53 +671,31 @@ pub fn arch_from_file(f: &ArchFile) -> Result<Architecture, CliError> {
 /// any `--scheme` override (the `compare-schemes` command needs the
 /// scheme-agnostic base to re-price under every backend).
 fn architecture_base(opts: &Options) -> Result<Architecture, CliError> {
-    if let Some(path) = &opts.arch_file {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?;
-        let file = ArchFile::parse(&text)?;
-        return arch_from_file(&file);
-    }
-    let dram = match opts.dram.as_str() {
-        other => dram_by_name(other)?,
+    let Some(path) = &opts.arch_file else {
+        return arch_from_file(&opts.arch);
     };
-    let mut arch = Architecture::eyeriss_base()
-        .with_pe_array(opts.pe.0, opts.pe.1)
-        .with_glb_kb(opts.glb_kb)
-        .with_dram(dram);
-    if opts.engines > 0 {
-        arch = arch.with_crypto(CryptoConfig::new(opts.engine, opts.engines));
-    }
-    Ok(arch)
+    let text =
+        std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read {path}: {e}")))?;
+    arch_from_file(&ArchFile::parse(&text)?)
 }
 
 fn architecture(opts: &Options) -> Result<Architecture, CliError> {
-    let arch = architecture_base(opts)?;
-    match opts.scheme {
-        None => Ok(arch),
-        Some(s) => apply_scheme(&arch, s).map_err(usage),
-    }
+    opts.run.reprice(&architecture_base(opts)?).map_err(usage)
 }
 
-fn scheduler(opts: &Options, arch: Architecture) -> Scheduler {
-    let deadline = opts.deadline_secs.map(Duration::from_secs_f64);
+/// The run's network; every command but `workloads`, `serve` and
+/// `suite` needs `--workload`.
+fn network(opts: &Options) -> Result<Network, CliError> {
+    if opts.run.workload.is_none() {
+        return Err(usage(format!("{} needs --workload", opts.command)));
+    }
+    opts.run.network().map_err(usage)
+}
+
+fn scheduler(run: &RunSpec, arch: Architecture) -> Scheduler {
     Scheduler::new(arch)
-        .with_search(SearchConfig {
-            samples: opts.samples,
-            top_k: 6,
-            seed: opts.seed,
-            threads: 4,
-            deadline,
-            mode: opts.search_mode,
-        })
-        .with_annealing({
-            let annealing = AnnealingConfig::paper_default()
-                .with_iterations(opts.iterations)
-                .with_seed(opts.seed);
-            match deadline {
-                Some(d) => annealing.with_deadline(d),
-                None => annealing,
-            }
-        })
+        .with_search(run.search(&Defaults::SCHEDULE))
+        .with_annealing(run.annealing(&Defaults::SCHEDULE))
 }
 
 /// Human-readable outcome summary appended to `schedule` output when
@@ -1004,7 +810,7 @@ pub fn run_with_status(args: &[String]) -> Result<CliOutput, CliError> {
 
 fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
     match opts.command.as_str() {
-        "workloads" => Ok(CliOutput::ok(WORKLOAD_NAMES.to_string())),
+        "workloads" => Ok(CliOutput::ok(run::workload_names())),
         "suite" => {
             let dir = opts
                 .suite_dir
@@ -1013,8 +819,8 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             crate::suite::run_suite(
                 std::path::Path::new(dir),
                 opts.json,
-                opts.search_mode,
-                opts.scheme,
+                opts.run.search_mode,
+                opts.run.scheme,
             )
         }
         "serve" => {
@@ -1026,8 +832,8 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                 .with_queue_depth(opts.queue_depth)
                 .with_workers(opts.service_workers)
                 .with_job_workers(opts.job_workers)
-                .with_search_mode(opts.search_mode)
-                .with_default_scheme(opts.scheme)
+                .with_search_mode(opts.run.search_mode)
+                .with_default_scheme(opts.run.scheme)
                 .with_durability(opts.durability);
             if let Some(mb) = opts.cache_budget_mb {
                 cfg = cfg.with_cache_budget_bytes(mb.saturating_mul(1024 * 1024));
@@ -1059,13 +865,9 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             })
         }
         "schedule" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("schedule needs --workload"))?;
-            let net = workload(name)?;
-            let arch = architecture(&opts)?;
-            let sched = scheduler(opts, arch).schedule(&net, opts.algorithm)?;
+            let net = network(opts)?;
+            let arch = architecture(opts)?;
+            let sched = scheduler(&opts.run, arch).schedule(&net, opts.run.algorithm)?;
             let status = if sched.degraded_count() + sched.failed_count() > 0 {
                 RunStatus::Degraded
             } else {
@@ -1120,11 +922,7 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             }
         }
         "trace" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("trace needs --workload"))?;
-            let net = workload(name)?;
+            let net = network(opts)?;
             let layer = net.layers().get(opts.layer).ok_or_else(|| {
                 usage(format!(
                     "--layer {} out of range (network has {} layers)",
@@ -1132,23 +930,12 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                     net.len()
                 ))
             })?;
-            let arch = architecture(&opts)?;
-            let best = secureloop_mapper::search(
-                layer,
-                &arch,
-                &SearchConfig {
-                    samples: opts.samples,
-                    top_k: 1,
-                    seed: opts.seed,
-                    threads: 4,
-                    deadline: opts.deadline_secs.map(Duration::from_secs_f64),
-                    mode: opts.search_mode,
-                },
-            )
-            .map_err(|e| CliError::Engine(format!("mapper: {e}; raise --samples")))?
-            .best()
-            .ok_or_else(|| usage("no valid schedule found; raise --samples"))?
-            .clone();
+            let arch = architecture(opts)?;
+            let best = secureloop_mapper::search(layer, &arch, &opts.run.search(&Defaults::TRACE))
+                .map_err(|e| CliError::Engine(format!("mapper: {e}; raise --samples")))?
+                .best()
+                .ok_or_else(|| usage("no valid schedule found; raise --samples"))?
+                .clone();
             let trace = secureloop_sim::generate_trace(layer, &arch, &best.0)
                 .map_err(|e| usage(format!("cannot trace this schedule: {e}")))?;
             let replayed = secureloop_sim::replay(&trace, &arch);
@@ -1174,42 +961,9 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             Ok(CliOutput::ok(out))
         }
         "dse" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("dse needs --workload"))?;
-            let net = workload(name)?;
-            let space = fig16_design_space();
-            let mut scheme_note = None;
-            let designs = match opts.scheme {
-                None => space,
-                Some(s) => {
-                    let kept: Vec<_> = space
-                        .iter()
-                        .filter_map(|a| apply_scheme(a, s).ok())
-                        .collect();
-                    if kept.is_empty() {
-                        return Err(usage(format!(
-                            "scheme '{s}' supports no design in the space"
-                        )));
-                    }
-                    if kept.len() < space.len() {
-                        scheme_note = Some(format!(
-                            "scheme '{s}': {} design(s) excluded (engine class unsupported)",
-                            space.len() - kept.len()
-                        ));
-                    }
-                    kept
-                }
-            };
-            let deadline = opts.deadline_secs.map(Duration::from_secs_f64);
-            let annealing = {
-                let a = AnnealingConfig::paper_default().with_iterations(opts.iterations.min(300));
-                match deadline {
-                    Some(d) => a.with_deadline(d),
-                    None => a,
-                }
-            };
+            let net = network(opts)?;
+            let (designs, scheme_note) =
+                opts.run.designs(fig16_design_space(), &[]).map_err(usage)?;
             let mut sweep_opts = crate::dse::SweepOptions::new()
                 .with_cache(opts.cache)
                 .with_resume(opts.resume)
@@ -1230,16 +984,9 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             let mut sweep = evaluate_designs_sweep(
                 &net,
                 &designs,
-                opts.algorithm,
-                &SearchConfig {
-                    samples: opts.samples,
-                    top_k: 4,
-                    seed: opts.seed,
-                    threads: 4,
-                    deadline,
-                    mode: opts.search_mode,
-                },
-                &annealing,
+                opts.run.algorithm,
+                &opts.run.search(&Defaults::SWEEP),
+                &opts.run.annealing(&Defaults::SWEEP),
                 &sweep_opts,
             )?;
             if let Some(note) = scheme_note {
@@ -1323,17 +1070,14 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
             Ok(CliOutput { text: out, status })
         }
         "compare-schemes" => {
-            let name = opts
-                .workload
-                .as_deref()
-                .ok_or_else(|| usage("compare-schemes needs --workload"))?;
-            if opts.algorithm == Algorithm::Unsecure {
+            let net = network(opts)?;
+            let name = opts.run.workload.as_deref().unwrap_or_default();
+            if opts.run.algorithm == Algorithm::Unsecure {
                 return Err(usage(
                     "compare-schemes runs the unprotected baseline itself; \
                      pick a secure --algorithm for the protected rows",
                 ));
             }
-            let net = workload(name)?;
             let base = architecture_base(opts)?;
             if base.crypto().is_none() {
                 return Err(usage(
@@ -1358,10 +1102,10 @@ fn dispatch(opts: &Options) -> Result<CliOutput, CliError> {
                         let algorithm = if id == SchemeId::None {
                             Algorithm::Unsecure
                         } else {
-                            opts.algorithm
+                            opts.run.algorithm
                         };
                         let area = secureloop_energy::AreaModel::of(&arch);
-                        let sched = scheduler(opts, arch).schedule(&net, algorithm)?;
+                        let sched = scheduler(&opts.run, arch).schedule(&net, algorithm)?;
                         degraded_any |= sched.degraded_count() + sched.failed_count() > 0;
                         rows.push((
                             id,
@@ -1490,12 +1234,12 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(o.command, "schedule");
-        assert_eq!(o.workload.as_deref(), Some("alexnet"));
-        assert_eq!(o.algorithm, Algorithm::CryptOptSingle);
-        assert_eq!(o.engine, EngineClass::Serial);
-        assert_eq!(o.engines, 30);
-        assert_eq!(o.pe, (28, 24));
-        assert_eq!(o.glb_kb, 16);
+        assert_eq!(o.run.workload.as_deref(), Some("alexnet"));
+        assert_eq!(o.run.algorithm, Algorithm::CryptOptSingle);
+        assert_eq!(o.arch.engine.as_deref(), Some("serial"));
+        assert_eq!(o.arch.engines, Some(30));
+        assert_eq!(o.arch.pe, Some([28, 24]));
+        assert_eq!(o.arch.glb_kb, Some(16));
         assert!(o.json);
     }
 
@@ -1531,7 +1275,10 @@ mod tests {
         assert!(out.contains("vit_tiny"));
         // Every advertised name resolves.
         for name in out.lines() {
-            assert!(workload(name).is_ok(), "workloads lists unknown '{name}'");
+            assert!(
+                run::workload(name).is_ok(),
+                "workloads lists unknown '{name}'"
+            );
         }
     }
 
@@ -1555,12 +1302,12 @@ mod tests {
     #[test]
     fn parse_scheme_flag() {
         let o = parse(&argv("dse --workload alexnet --scheme seculator")).unwrap();
-        assert_eq!(o.scheme, Some(SchemeId::Seculator));
+        assert_eq!(o.run.scheme, Some(SchemeId::Seculator));
         let o = parse(&argv("suite suites/smoke --scheme none")).unwrap();
-        assert_eq!(o.scheme, Some(SchemeId::None));
+        assert_eq!(o.run.scheme, Some(SchemeId::None));
         let o = parse(&argv("compare-schemes --workload alexnet")).unwrap();
         assert_eq!(o.command, "compare-schemes");
-        assert_eq!(o.scheme, None, "default is the architecture's scheme");
+        assert_eq!(o.run.scheme, None, "default is the architecture's scheme");
         let e = parse(&argv("dse --workload alexnet --scheme rot13")).unwrap_err();
         assert!(
             e.to_string().contains("none | aes-gcm | seculator | seda"),

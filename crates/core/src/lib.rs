@@ -57,6 +57,7 @@ pub mod error;
 pub mod fusion;
 pub mod report;
 pub mod roofline;
+pub mod run;
 pub mod scheduler;
 pub mod segment;
 pub mod service;
@@ -66,9 +67,9 @@ pub mod supervisor;
 pub mod tensors;
 
 pub use annealing::{AnnealState, AnnealingConfig, Cooling};
-pub use secureloop_artifact as artifact;
 pub use candidates::{CandidateSet, LayerCandidates};
 pub use checkpoint::SweepCheckpoint;
 pub use error::SecureLoopError;
 pub use scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule, Scheduler};
+pub use secureloop_artifact as artifact;
 pub use supervisor::{SupervisedOutcome, SupervisorConfig};

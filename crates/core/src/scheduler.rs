@@ -57,6 +57,14 @@ impl Algorithm {
         Algorithm::CryptOptCross,
     ];
 
+    /// Every algorithm, baseline first.
+    pub const ALL: [Algorithm; 4] = [
+        Algorithm::Unsecure,
+        Algorithm::CryptTileSingle,
+        Algorithm::CryptOptSingle,
+        Algorithm::CryptOptCross,
+    ];
+
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -67,16 +75,23 @@ impl Algorithm {
         }
     }
 
-    /// Parse a display name back into an algorithm (the inverse of
-    /// [`Algorithm::name`], used by checkpoint deserialisation).
-    pub fn from_name(name: &str) -> Option<Algorithm> {
-        match name {
-            "Unsecure" => Some(Algorithm::Unsecure),
-            "Crypt-Tile-Single" => Some(Algorithm::CryptTileSingle),
-            "Crypt-Opt-Single" => Some(Algorithm::CryptOptSingle),
-            "Crypt-Opt-Cross" => Some(Algorithm::CryptOptCross),
-            _ => None,
+    /// Lower-case kebab spelling used by CLI flags and suite files.
+    pub fn kebab_name(self) -> &'static str {
+        match self {
+            Algorithm::Unsecure => "unsecure",
+            Algorithm::CryptTileSingle => "crypt-tile-single",
+            Algorithm::CryptOptSingle => "crypt-opt-single",
+            Algorithm::CryptOptCross => "crypt-opt-cross",
         }
+    }
+
+    /// Parse either spelling: the display name ([`Algorithm::name`],
+    /// as checkpoints and job journals store it) or the kebab name
+    /// ([`Algorithm::kebab_name`]).
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| a.name() == name || a.kebab_name() == name)
     }
 }
 
@@ -486,7 +501,7 @@ impl Scheduler {
         span.add_field("scheduled", n_sched);
         span.add_field("degraded", n_degr);
         span.add_field("failed", n_fail);
-        if layers.is_empty() && network.len() > 0 {
+        if layers.is_empty() && !network.is_empty() {
             span.add_field("error", "no usable mapping for any layer");
             return Err(SecureLoopError::Schedule(format!(
                 "no layer of '{}' produced a usable mapping under {}",
@@ -809,7 +824,7 @@ mod tests {
         let store = Arc::new(FeedbackStore::new());
         let guided = SearchConfig::quick().with_mode(secureloop_mapper::SearchMode::Guided);
         let a = Scheduler::new(arch.clone())
-            .with_search(guided.clone())
+            .with_search(guided)
             .with_annealing(AnnealingConfig::quick())
             .with_feedback(Arc::clone(&store));
         a.schedule(&net, Algorithm::CryptOptCross)

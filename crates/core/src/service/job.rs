@@ -4,13 +4,11 @@
 use std::time::Duration;
 
 use secureloop_arch::Architecture;
-use secureloop_crypto::SchemeId;
 use secureloop_json::Json;
 use secureloop_mapper::FaultPlan;
-use secureloop_workload::Network;
 
-use crate::dse::{apply_scheme, fig16_design_space};
-use crate::scheduler::Algorithm;
+use crate::dse::fig16_design_space;
+use crate::run::{Defaults, RunSpec};
 
 /// Job ids become file names (`<state_dir>/<id>.ckpt.json`), so they
 /// are restricted to a filesystem-safe alphabet.
@@ -110,94 +108,45 @@ impl FaultSpec {
 pub struct JobSpec {
     /// Client-chosen id (see [`valid_job_id`]).
     pub id: String,
-    /// Workload name (`alexnet`, `resnet18`, ... — the CLI zoo).
-    pub workload: String,
+    /// The run: workload, algorithm, scheme and budgets, with the
+    /// `dse` command's defaults. A deadline trades determinism for
+    /// latency exactly as in the one-shot CLI.
+    pub run: RunSpec,
     /// Design labels from the Fig. 16 space; empty = the full space.
     pub designs: Vec<String>,
-    /// Scheduling algorithm.
-    pub algorithm: Algorithm,
-    /// Mapper samples per layer.
-    pub samples: usize,
-    /// Annealing iterations (capped like the `dse` command).
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional per-layer wall-clock deadline in seconds. A deadline
-    /// trades determinism for latency exactly as in the one-shot CLI.
-    pub deadline_secs: Option<f64>,
-    /// Optional protection scheme re-pricing the resolved designs
-    /// (`None` keeps the space's default AES-GCM pricing; mirrors the
-    /// CLI's `--scheme`).
-    pub scheme: Option<SchemeId>,
     /// Optional injected fault (chaos-test hook).
     pub fault: Option<FaultSpec>,
 }
 
+/// The run fields a job accepts.
+const RUN_KEYS: [&str; 7] = [
+    "workload",
+    "algorithm",
+    "samples",
+    "iterations",
+    "seed",
+    "deadline_secs",
+    "scheme",
+];
+
 impl JobSpec {
-    /// Resolve the design labels against the Fig. 16 space, in space
-    /// order (empty = the whole space, exactly like `secureloop dse`),
-    /// then re-price under the job's protection scheme if one was
-    /// requested.
-    ///
-    /// With an explicit design list, a scheme that cannot be realised
-    /// on a named design's engine class is an error (the client asked
-    /// for a contradiction). With the full space, unsupported designs
-    /// are filtered out instead — "the whole space under scheme S"
-    /// means the supported part of it.
+    /// The job's design points (see [`RunSpec::designs`]).
     ///
     /// # Errors
     ///
     /// Names the first unknown label or invalid scheme/class pairing.
     pub fn resolve_designs(&self) -> Result<Vec<Architecture>, String> {
-        let space = fig16_design_space();
-        let resolved: Vec<Architecture> = if self.designs.is_empty() {
-            space
-        } else {
-            self.designs
-                .iter()
-                .map(|want| {
-                    space
-                        .iter()
-                        .find(|a| a.name() == want)
-                        .cloned()
-                        .ok_or_else(|| format!("unknown design '{want}'"))
-                })
-                .collect::<Result<_, _>>()?
-        };
-        let Some(scheme) = self.scheme else {
-            return Ok(resolved);
-        };
-        if self.designs.is_empty() {
-            let kept: Vec<Architecture> = resolved
-                .iter()
-                .filter_map(|a| apply_scheme(a, scheme).ok())
-                .collect();
-            if kept.is_empty() {
-                return Err(format!("scheme '{scheme}' supports no design in the space"));
-            }
-            Ok(kept)
-        } else {
-            resolved
-                .iter()
-                .map(|a| apply_scheme(a, scheme).map_err(|e| format!("design '{}': {e}", a.name())))
-                .collect()
-        }
-    }
-
-    /// Resolve the workload name against the model zoo.
-    ///
-    /// # Errors
-    ///
-    /// An unknown workload name.
-    pub fn resolve_workload(&self) -> Result<Network, String> {
-        crate::cli::workload(&self.workload).map_err(|e| e.to_string())
+        self.run
+            .designs(fig16_design_space(), &self.designs)
+            .map(|(designs, _)| designs)
     }
 
     /// Serialise for the journal (and for echoing back to clients).
     pub fn to_json(&self) -> Json {
+        let run = &self.run;
         let mut v = Json::obj()
             .field("id", self.id.as_str())
-            .field("workload", self.workload.as_str())
+            .field("workload", run.workload.as_deref().unwrap_or_default())
             .field(
                 "designs",
                 Json::Arr(
@@ -207,14 +156,14 @@ impl JobSpec {
                         .collect(),
                 ),
             )
-            .field("algorithm", self.algorithm.name())
-            .field("samples", self.samples as u64)
-            .field("iterations", self.iterations as u64)
-            .field("seed", self.seed);
-        if let Some(d) = self.deadline_secs {
+            .field("algorithm", run.algorithm.name())
+            .field("samples", run.samples as u64)
+            .field("iterations", run.iterations as u64)
+            .field("seed", run.seed);
+        if let Some(d) = run.deadline_secs {
             v = v.field("deadline_secs", d);
         }
-        if let Some(s) = self.scheme {
+        if let Some(s) = run.scheme {
             v = v.field("scheme", s.name());
         }
         if let Some(f) = &self.fault {
@@ -224,7 +173,7 @@ impl JobSpec {
     }
 
     /// Parse a [`JobSpec`] from a `submit` request or the journal.
-    /// Absent budget fields take the one-shot CLI defaults.
+    /// Absent budget fields take the `dse` command's defaults.
     ///
     /// # Errors
     ///
@@ -239,10 +188,15 @@ impl JobSpec {
                 "invalid job id '{id}' (1-64 chars from [A-Za-z0-9_-])"
             ));
         }
-        let workload = v["workload"]
-            .as_str()
-            .ok_or("submit needs a string 'workload'")?
-            .to_string();
+        let mut run = RunSpec::new(&Defaults::SWEEP);
+        for key in RUN_KEYS {
+            if !v[key].is_null() {
+                run.set(key, &v[key])?;
+            }
+        }
+        if run.workload.is_none() {
+            return Err("submit needs a string 'workload'".into());
+        }
         let designs = match &v["designs"] {
             Json::Null => Vec::new(),
             list => list
@@ -256,51 +210,14 @@ impl JobSpec {
                 })
                 .collect::<Result<Vec<_>, _>>()?,
         };
-        let algorithm = match v["algorithm"].as_str() {
-            None => Algorithm::CryptOptCross,
-            Some(name) => Algorithm::from_name(name)
-                .or_else(|| match name {
-                    "unsecure" => Some(Algorithm::Unsecure),
-                    "crypt-tile-single" => Some(Algorithm::CryptTileSingle),
-                    "crypt-opt-single" => Some(Algorithm::CryptOptSingle),
-                    "crypt-opt-cross" => Some(Algorithm::CryptOptCross),
-                    _ => None,
-                })
-                .ok_or_else(|| format!("unknown algorithm '{name}'"))?,
-        };
-        let deadline_secs = match &v["deadline_secs"] {
-            Json::Null => None,
-            d => {
-                let secs = d.as_f64().ok_or("'deadline_secs' must be a number")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("'deadline_secs' must be positive and finite".to_string());
-                }
-                Some(secs)
-            }
-        };
-        let scheme = match &v["scheme"] {
-            Json::Null => None,
-            s => {
-                let name = s.as_str().ok_or("'scheme' must be a string")?;
-                Some(SchemeId::from_name(name).ok_or_else(|| {
-                    format!("unknown scheme '{name}' (expected none | aes-gcm | seculator | seda)")
-                })?)
-            }
-        };
         let fault = match &v["fault"] {
             Json::Null => None,
             f => Some(FaultSpec::from_json(f)?),
         };
         Ok(JobSpec {
             id,
-            workload,
+            run,
             designs,
-            algorithm,
-            samples: v["samples"].as_usize().unwrap_or(3000),
-            iterations: v["iterations"].as_usize().unwrap_or(1000),
-            seed: v["seed"].as_u64().unwrap_or(1),
-            deadline_secs,
-            scheme,
             fault,
         })
     }
@@ -470,13 +387,11 @@ impl AdmissionPolicy {
     ///
     /// A client-facing reason string for the typed `rejected` response.
     pub fn admit(&self, spec: &JobSpec) -> Result<(), String> {
-        if spec.samples == 0 {
-            return Err("'samples' must be at least 1".to_string());
-        }
-        if spec.samples > self.max_samples {
+        let run = &spec.run;
+        if run.samples > self.max_samples {
             return Err(format!(
                 "samples {} exceeds the admission cap {}",
-                spec.samples, self.max_samples
+                run.samples, self.max_samples
             ));
         }
         let designs = spec.resolve_designs()?;
@@ -487,7 +402,7 @@ impl AdmissionPolicy {
                 self.max_designs
             ));
         }
-        if let Some(secs) = spec.deadline_secs {
+        if let Some(secs) = run.deadline_secs {
             if secs > self.max_deadline_secs {
                 return Err(format!(
                     "deadline {secs}s exceeds the admission cap {}s",
@@ -495,7 +410,7 @@ impl AdmissionPolicy {
                 ));
             }
         }
-        spec.resolve_workload()?;
+        run.network()?;
         Ok(())
     }
 }
@@ -503,18 +418,21 @@ impl AdmissionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Algorithm;
+    use secureloop_crypto::SchemeId;
 
     fn spec() -> JobSpec {
         JobSpec {
             id: "job-1".into(),
-            workload: "alexnet".into(),
+            run: RunSpec {
+                workload: Some("alexnet".into()),
+                algorithm: Algorithm::CryptOptSingle,
+                samples: 200,
+                iterations: 20,
+                seed: 7,
+                ..RunSpec::new(&Defaults::SWEEP)
+            },
             designs: vec!["14x12/16kB/Pipelined".into()],
-            algorithm: Algorithm::CryptOptSingle,
-            samples: 200,
-            iterations: 20,
-            seed: 7,
-            deadline_secs: None,
-            scheme: None,
             fault: None,
         }
     }
@@ -528,8 +446,8 @@ mod tests {
             arch: "14x12/16kB/Pipelined".into(),
             stall_ms: 50,
         });
-        s.deadline_secs = Some(2.5);
-        s.scheme = Some(SchemeId::Seculator);
+        s.run.deadline_secs = Some(2.5);
+        s.run.scheme = Some(SchemeId::Seculator);
         let back = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
     }
@@ -546,17 +464,17 @@ mod tests {
         use secureloop_crypto::EngineClass;
         // Explicit design + supported scheme: re-priced in place.
         let mut s = spec();
-        s.scheme = Some(SchemeId::Seculator);
+        s.run.scheme = Some(SchemeId::Seculator);
         let designs = s.resolve_designs().unwrap();
         let cc = designs[0].crypto().unwrap();
         assert_eq!(cc.scheme, SchemeId::Seculator);
         assert_eq!(cc.tag_bits, 32);
         // `none` strips crypto entirely.
-        s.scheme = Some(SchemeId::None);
+        s.run.scheme = Some(SchemeId::None);
         assert!(s.resolve_designs().unwrap()[0].crypto().is_none());
         // Full space under SeDA keeps only the Parallel designs.
         s.designs.clear();
-        s.scheme = Some(SchemeId::Seda);
+        s.run.scheme = Some(SchemeId::Seda);
         let seda = s.resolve_designs().unwrap();
         assert!(!seda.is_empty());
         assert!(seda
@@ -570,7 +488,7 @@ mod tests {
         // The explicitly named design is Pipelined; SeDA cannot be
         // realised on a fully-pipelined core.
         let mut s = spec();
-        s.scheme = Some(SchemeId::Seda);
+        s.run.scheme = Some(SchemeId::Seda);
         let err = policy.admit(&s).unwrap_err();
         assert!(
             err.contains("does not support the Pipelined engine class"),
@@ -628,7 +546,7 @@ mod tests {
         assert!(policy.admit(&spec()).is_ok());
 
         let mut too_many_samples = spec();
-        too_many_samples.samples = 501;
+        too_many_samples.run.samples = 501;
         assert!(policy
             .admit(&too_many_samples)
             .unwrap_err()
@@ -642,11 +560,11 @@ mod tests {
             .contains("admission cap"));
 
         let mut too_long = spec();
-        too_long.deadline_secs = Some(11.0);
+        too_long.run.deadline_secs = Some(11.0);
         assert!(policy.admit(&too_long).unwrap_err().contains("deadline"));
 
         let mut bad_workload = spec();
-        bad_workload.workload = "gpt-17".into();
+        bad_workload.run.workload = Some("gpt-17".into());
         assert!(policy.admit(&bad_workload).is_err());
 
         let mut bad_design = spec();

@@ -175,7 +175,7 @@ mod tests {
         match parse_request(r#"{"op":"submit","id":"j1","workload":"alexnet"}"#).unwrap() {
             Request::Submit(spec) => {
                 assert_eq!(spec.id, "j1");
-                assert_eq!(spec.samples, 3000, "defaults mirror the CLI");
+                assert_eq!(spec.run.samples, 3000, "defaults mirror the CLI");
             }
             other => panic!("expected submit, got {other:?}"),
         }

@@ -26,16 +26,14 @@ use std::time::Duration;
 use secureloop_artifact::DurabilityPolicy;
 
 use secureloop_json::Json;
-use secureloop_mapper::{
-    cancel, CancelToken, CandidateCache, FaultScope, SearchConfig, SearchMode,
-};
+use secureloop_mapper::{cancel, CancelToken, CandidateCache, FaultScope, SearchMode};
 use secureloop_telemetry::{self as telemetry, Sink};
 
-use crate::annealing::AnnealingConfig;
 use crate::cli::RunStatus;
 use crate::dse::{evaluate_designs_sweep, pareto_front, SweepOptions};
 use crate::error::SecureLoopError;
 use crate::report;
+use crate::run::Defaults;
 use crate::service::job::{AdmissionPolicy, JobRecord, JobSpec, JobState};
 use crate::service::persist::{self, ServiceJournal};
 use crate::service::protocol::{self, Request};
@@ -478,10 +476,10 @@ impl Server {
         });
 
         self.save_journal(&out);
-        if let Err(e) = self
-            .cache
-            .save_with(&persist::cache_path(&self.cfg.state_dir), &self.cfg.durability)
-        {
+        if let Err(e) = self.cache.save_with(
+            &persist::cache_path(&self.cfg.state_dir),
+            &self.cfg.durability,
+        ) {
             self.degraded.store(true, Ordering::Relaxed);
             out.send(warning(format!("cache save failed: {e}")));
         }
@@ -541,8 +539,8 @@ impl Server {
         // Fill in the server-level default scheme *before* admission so
         // the scheme/engine-class validation applies to what will run,
         // and the journalled spec records the effective scheme.
-        if spec.scheme.is_none() {
-            spec.scheme = self.cfg.default_scheme;
+        if spec.run.scheme.is_none() {
+            spec.run.scheme = self.cfg.default_scheme;
         }
         if let Err(reason) = self.cfg.admission.admit(&spec) {
             out.send(protocol::rejected(&id, &reason));
@@ -665,7 +663,7 @@ impl Server {
     }
 
     fn run_job<W: Write>(&self, id: &str, out: &SharedWriter<W>) {
-        let (spec, token) = {
+        let (mut spec, token) = {
             let mut t = self.table();
             let Some(e) = t.map.get_mut(id) else { return };
             if e.record.state.is_terminal() {
@@ -693,30 +691,11 @@ impl Server {
             Ok(d) => d,
             Err(e) => return fail(e),
         };
-        let network = match spec.resolve_workload() {
+        let network = match spec.run.network() {
             Ok(n) => n,
             Err(e) => return fail(e),
         };
-
-        // Budgets mirror the one-shot `secureloop dse` command exactly,
-        // so a healthy service job is byte-identical to the same run
-        // through the CLI.
-        let deadline = spec.deadline_secs.map(Duration::from_secs_f64);
-        let annealing = {
-            let a = AnnealingConfig::paper_default().with_iterations(spec.iterations.min(300));
-            match deadline {
-                Some(d) => a.with_deadline(d),
-                None => a,
-            }
-        };
-        let search = SearchConfig {
-            samples: spec.samples,
-            top_k: 4,
-            seed: spec.seed,
-            threads: 4,
-            deadline,
-            mode: self.cfg.search_mode,
-        };
+        spec.run.search_mode = self.cfg.search_mode;
         let ckpt_path = persist::job_checkpoint_path(&self.cfg.state_dir, id);
         let opts = SweepOptions::new()
             .with_checkpoint(ckpt_path)
@@ -738,9 +717,12 @@ impl Server {
         let outcome = evaluate_designs_sweep(
             &network,
             &designs,
-            spec.algorithm,
-            &search,
-            &annealing,
+            spec.run.algorithm,
+            // Budgets mirror the one-shot `secureloop dse` command
+            // exactly, so a healthy service job is byte-identical to the
+            // same run through the CLI.
+            &spec.run.search(&Defaults::SWEEP),
+            &spec.run.annealing(&Defaults::SWEEP),
             &opts,
         );
         drop(armed);

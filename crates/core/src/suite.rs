@@ -55,27 +55,16 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use secureloop_arch::Architecture;
 use secureloop_crypto::SchemeId;
 use secureloop_json::{parse_yaml, Json};
-use secureloop_mapper::{CandidateCache, SearchConfig, SearchMode};
-use secureloop_workload::Network;
+use secureloop_mapper::{CandidateCache, SearchMode};
 
-use crate::annealing::AnnealingConfig;
 use crate::cli::{arch_from_file, ArchFile, CliError, CliOutput, RunStatus};
-use crate::dse::{apply_scheme, evaluate_designs_sweep, SweepOptions};
-use crate::scheduler::{Algorithm, NetworkSchedule};
-
-/// Default mapper sample *cap* per layer for suite runs. Under the
-/// guided default this is a ceiling, not a budget — searches stop when
-/// the Pareto front stops improving, typically well under the cap — so
-/// it is set high enough that convergence, not truncation, decides
-/// where each search ends. Override per scenario via `search: samples:`.
-pub const DEFAULT_SAMPLES: usize = 1024;
-/// Default simulated-annealing iterations for suite runs.
-pub const DEFAULT_ITERATIONS: usize = 60;
+use crate::dse::{evaluate_designs_sweep, SweepOptions};
+use crate::run::{Defaults, RunSpec};
+use crate::scheduler::NetworkSchedule;
 
 fn scenario_err(path: &Path, message: impl Into<String>) -> CliError {
     CliError::Scenario {
@@ -171,24 +160,12 @@ pub struct Scenario {
     pub name: String,
     /// Source file, for error messages.
     pub path: PathBuf,
-    /// The network, with batch/word-width variants applied.
-    pub network: Network,
+    /// The run: workload and its variants, algorithm, `search:` budgets
+    /// and the `crypto:` scheme (`None` keeps the architecture's own
+    /// pricing; a CLI `--scheme` still overrides).
+    pub run: RunSpec,
     /// The architecture (Eyeriss base overridden by the `arch:` block).
     pub arch: Architecture,
-    /// Scheduling algorithm.
-    pub algorithm: Algorithm,
-    /// Mapper samples per layer.
-    pub samples: usize,
-    /// Simulated-annealing iterations.
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional wall-clock budget per layer search / annealed segment.
-    pub deadline: Option<Duration>,
-    /// Protection scheme declared by the scenario's `crypto:` block.
-    /// `None` means "whatever the architecture says" (AES-GCM when the
-    /// arch carries a crypto config) — a CLI `--scheme` still overrides.
-    pub scheme: Option<SchemeId>,
     /// Expected-result bounds.
     pub expect: Bounds,
 }
@@ -260,16 +237,6 @@ fn parse_bounds(path: &Path, v: &Json) -> Result<Bounds, CliError> {
     Ok(b)
 }
 
-fn parse_algorithm(path: &Path, s: &str) -> Result<Algorithm, CliError> {
-    match s {
-        "unsecure" => Ok(Algorithm::Unsecure),
-        "crypt-tile-single" => Ok(Algorithm::CryptTileSingle),
-        "crypt-opt-single" => Ok(Algorithm::CryptOptSingle),
-        "crypt-opt-cross" => Ok(Algorithm::CryptOptCross),
-        other => Err(scenario_err(path, format!("unknown algorithm '{other}'"))),
-    }
-}
-
 /// Load and validate one scenario file.
 ///
 /// # Errors
@@ -285,17 +252,14 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
         .ok_or_else(|| scenario_err(path, "a scenario must be a YAML mapping"))?;
 
     let mut name: Option<String> = None;
-    let mut workload_name: Option<String> = None;
-    let mut batch: Option<u64> = None;
-    let mut word_bits: Option<u64> = None;
-    let mut algorithm = Algorithm::CryptOptCross;
+    let mut run = RunSpec::new(&Defaults::SUITE);
     let mut arch = Architecture::eyeriss_base();
-    let mut samples = DEFAULT_SAMPLES;
-    let mut iterations = DEFAULT_ITERATIONS;
-    let mut seed = 1u64;
-    let mut deadline = None;
-    let mut scheme: Option<SchemeId> = None;
     let mut expect: Option<Bounds> = None;
+    // Run fields are parsed by `RunSpec::set`; errors point at the key.
+    let set = |run: &mut RunSpec, key: &str, v: &Json| {
+        run.set(key, v)
+            .map_err(|e| scenario_err(path, at_line(&text, key, e)))
+    };
 
     for (key, value) in fields {
         match key.as_str() {
@@ -307,34 +271,7 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                         .to_string(),
                 )
             }
-            "workload" => {
-                workload_name = Some(
-                    value
-                        .as_str()
-                        .ok_or_else(|| scenario_err(path, "'workload' expects a string"))?
-                        .to_string(),
-                )
-            }
-            "batch" => {
-                let n = want_u64(path, key, value)?;
-                if n == 0 {
-                    return Err(scenario_err(path, "'batch' must be at least 1"));
-                }
-                batch = Some(n);
-            }
-            "word_bits" => {
-                let n = want_u64(path, key, value)?;
-                if n == 0 || n > 512 {
-                    return Err(scenario_err(path, "'word_bits' must be in 1..=512"));
-                }
-                word_bits = Some(n);
-            }
-            "algorithm" => {
-                let s = value
-                    .as_str()
-                    .ok_or_else(|| scenario_err(path, "'algorithm' expects a string"))?;
-                algorithm = parse_algorithm(path, s)?;
-            }
+            "workload" | "batch" | "word_bits" | "algorithm" => set(&mut run, key, value)?,
             "arch" => {
                 let file = ArchFile::from_json(value)
                     .and_then(|f| f.validate().map(|()| f))
@@ -348,17 +285,8 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                     .ok_or_else(|| scenario_err(path, "'search' must be a mapping"))?;
                 for (bk, bv) in budgets {
                     match bk.as_str() {
-                        "samples" => {
-                            samples = want_u64(path, bk, bv)? as usize;
-                            if samples == 0 {
-                                return Err(scenario_err(path, "'samples' must be at least 1"));
-                            }
-                        }
-                        "iterations" => iterations = want_u64(path, bk, bv)? as usize,
-                        "seed" => seed = want_u64(path, bk, bv)?,
-                        "deadline_secs" => {
-                            let secs = want_f64(path, bk, bv)?;
-                            deadline = Some(Duration::from_secs_f64(secs));
+                        "samples" | "iterations" | "seed" | "deadline_secs" => {
+                            set(&mut run, bk, bv)?
                         }
                         other => {
                             return Err(scenario_err(
@@ -381,28 +309,11 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
                 })?;
                 for (ck, cv) in block {
                     match ck.as_str() {
-                        "scheme" => {
-                            let s = cv.as_str().ok_or_else(|| {
-                                scenario_err(
-                                    path,
-                                    at_line(&text, "scheme", "'scheme' expects a string".into()),
-                                )
-                            })?;
-                            let parsed = SchemeId::from_name(s).ok_or_else(|| {
-                                scenario_err(
-                                    path,
-                                    at_line(
-                                        &text,
-                                        "scheme",
-                                        format!(
-                                            "unknown crypto scheme '{s}' (expected none | \
-                                             aes-gcm | seculator | seda)"
-                                        ),
-                                    ),
-                                )
-                            })?;
-                            scheme = Some(parsed);
-                        }
+                        // Suite messages call the field "crypto scheme".
+                        "scheme" => run.set(ck, cv).map_err(|e| {
+                            let e = e.replacen("unknown scheme", "unknown crypto scheme", 1);
+                            scenario_err(path, at_line(&text, ck, e))
+                        })?,
                         other => {
                             return Err(scenario_err(
                                 path,
@@ -434,25 +345,18 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
     // so the combo check has to wait until both are parsed. A suite
     // with an impossible pairing fails in milliseconds, before any
     // sweep runs, with the offending line called out.
-    if let Some(s) = scheme {
-        if let Err(e) = apply_scheme(&arch, s) {
-            return Err(scenario_err(
-                path,
-                at_line(&text, "scheme", format!("crypto scheme: {e}")),
-            ));
-        }
+    if let Err(e) = run.reprice(&arch) {
+        return Err(scenario_err(
+            path,
+            at_line(&text, "scheme", format!("crypto scheme: {e}")),
+        ));
     }
 
-    let workload_name =
-        workload_name.ok_or_else(|| scenario_err(path, "missing required field 'workload'"))?;
-    let mut network = crate::cli::workload(&workload_name)
-        .map_err(|_| scenario_err(path, format!("unknown workload '{workload_name}'")))?;
-    if let Some(n) = batch {
-        network = network.with_batch(n);
+    if run.workload.is_none() {
+        return Err(scenario_err(path, "missing required field 'workload'"));
     }
-    if let Some(bits) = word_bits {
-        network = network.with_word_bits(bits as u32);
-    }
+    run.network()
+        .map_err(|e| scenario_err(path, at_line(&text, "workload", e)))?;
     let expect = expect.ok_or_else(|| {
         scenario_err(
             path,
@@ -467,14 +371,8 @@ pub fn load_scenario(path: &Path) -> Result<Scenario, CliError> {
     Ok(Scenario {
         name,
         path: path.to_path_buf(),
-        network,
+        run,
         arch,
-        algorithm,
-        samples,
-        iterations,
-        seed,
-        deadline,
-        scheme,
         expect,
     })
 }
@@ -586,17 +484,14 @@ pub fn run_suite(
 
     // Re-price each scenario under its effective scheme before anything
     // runs: the CLI override wins over the scenario's own `crypto:`
-    // block; an unprotected run also drops to the unsecure algorithm so
-    // the schedule carries no phantom crypto passes.
+    // block.
     for sc in &mut scenarios {
-        let Some(effective) = scheme_override.or(sc.scheme) else {
-            continue;
-        };
-        sc.arch = apply_scheme(&sc.arch, effective)
+        sc.run.scheme = scheme_override.or(sc.run.scheme);
+        sc.run.search_mode = mode;
+        sc.arch = sc
+            .run
+            .reprice(&sc.arch)
             .map_err(|e| scenario_err(&sc.path, format!("crypto scheme: {e}")))?;
-        if effective == SchemeId::None {
-            sc.algorithm = Algorithm::Unsecure;
-        }
     }
     let scenarios = scenarios;
 
@@ -605,30 +500,14 @@ pub fn run_suite(
     let mut interrupted = false;
     for sc in &scenarios {
         let _scope = secureloop_telemetry::enter_scope(format!("suite:{}", sc.name));
-        let search = SearchConfig {
-            samples: sc.samples,
-            top_k: 4,
-            seed: sc.seed,
-            threads: 4,
-            deadline: sc.deadline,
-            mode,
-        };
-        let annealing = {
-            let a = AnnealingConfig::quick()
-                .with_iterations(sc.iterations)
-                .with_seed(sc.seed);
-            match sc.deadline {
-                Some(d) => a.with_deadline(d),
-                None => a,
-            }
-        };
+        let network = sc.run.network().map_err(|e| scenario_err(&sc.path, e))?;
         let opts = SweepOptions::new().with_shared_cache(Arc::clone(&cache));
         let sweep = evaluate_designs_sweep(
-            &sc.network,
-            &[sc.arch.clone()],
-            sc.algorithm,
-            &search,
-            &annealing,
+            &network,
+            std::slice::from_ref(&sc.arch),
+            sc.run.effective_algorithm(&Defaults::SUITE),
+            &sc.run.search(&Defaults::SUITE),
+            &sc.run.annealing(&Defaults::SUITE),
             &opts,
         )?;
         if sweep.interrupted {

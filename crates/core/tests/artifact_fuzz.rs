@@ -15,6 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 use secureloop::artifact::{self, Integrity};
 use secureloop::checkpoint::SweepCheckpoint;
 use secureloop::dse::{evaluate_designs_sweep, SweepOptions, SweepRun};
+use secureloop::run::{Defaults, RunSpec};
 use secureloop::service::{JobRecord, JobSpec, JobState, ServiceJournal};
 use secureloop::{Algorithm, AnnealingConfig};
 use secureloop_arch::Architecture;
@@ -222,14 +223,15 @@ fn journal_fixture() -> ServiceJournal {
     let record = |id: &str, state: JobState| JobRecord {
         spec: JobSpec {
             id: id.into(),
-            workload: "alexnet".into(),
+            run: RunSpec {
+                workload: Some("alexnet".into()),
+                algorithm: Algorithm::CryptOptCross,
+                samples: 100,
+                iterations: 10,
+                seed: 1,
+                ..RunSpec::new(&Defaults::SWEEP)
+            },
             designs: vec![],
-            algorithm: Algorithm::CryptOptCross,
-            samples: 100,
-            iterations: 10,
-            seed: 1,
-            deadline_secs: None,
-            scheme: None,
             fault: None,
         },
         state,

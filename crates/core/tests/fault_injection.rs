@@ -77,6 +77,7 @@ fn zero_bandwidth_engine_is_a_typed_error_not_a_panic() {
     // A crypto configuration with zero engines has zero authenticated
     // bandwidth: every candidate saturates and is rejected, so the
     // schedule fails as a whole — with an error, not a crash.
+    let _scope = FaultScope::inject(FaultPlan::default());
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 0));
     let err = Scheduler::new(arch)
@@ -92,6 +93,7 @@ fn expired_deadline_degrades_instead_of_hanging() {
     // A zero wall-clock budget forces the sampler to give up
     // immediately; the greedy floor must still produce a full schedule,
     // flagged as degraded rather than silently passed off as optimal.
+    let _scope = FaultScope::inject(FaultPlan::default());
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
     let s = Scheduler::new(arch)
@@ -118,6 +120,7 @@ fn expired_deadline_degrades_instead_of_hanging() {
 
 #[test]
 fn interrupted_cli_dse_resumes_from_checkpoint() {
+    let _scope = FaultScope::inject(FaultPlan::default());
     let dir = std::env::temp_dir().join("secureloop-cli-dse-resume");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("sweep.json");

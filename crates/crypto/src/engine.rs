@@ -102,6 +102,17 @@ impl EngineClass {
             EngineClass::Serial => "Serial",
         }
     }
+
+    /// Parse the lower-case name used by CLI flags and architecture
+    /// files (`pipelined`, `parallel`, `serial`).
+    pub fn from_name(name: &str) -> Option<EngineClass> {
+        match name {
+            "pipelined" => Some(EngineClass::Pipelined),
+            "parallel" => Some(EngineClass::Parallel),
+            "serial" => Some(EngineClass::Serial),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for EngineClass {

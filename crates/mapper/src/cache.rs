@@ -476,7 +476,10 @@ impl CandidateCache {
         let mut inner = Inner::default();
         let mut dropped = 0usize;
         for item in artifact::salvage_array_items(payload, "entries") {
-            match Json::parse(&item).map_err(|e| e.to_string()).and_then(|v| entry_from_json(&v)) {
+            match Json::parse(&item)
+                .map_err(|e| e.to_string())
+                .and_then(|v| entry_from_json(&v))
+            {
                 Ok((key, frozen)) => inner.insert(key, Entry::Frozen(frozen)),
                 Err(_) => dropped += 1,
             }
@@ -585,6 +588,7 @@ mod tests {
 
     #[test]
     fn second_search_hits_and_matches_the_first() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -602,6 +606,7 @@ mod tests {
 
     #[test]
     fn renamed_architecture_shares_the_entry() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
         let a = Architecture::eyeriss_base();
@@ -614,6 +619,7 @@ mod tests {
 
     #[test]
     fn different_budget_is_a_different_entry() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         search_cached(&layer(), &arch, &SearchConfig::quick(), Some(&cache)).unwrap();
@@ -630,6 +636,7 @@ mod tests {
 
     #[test]
     fn guided_and_random_never_share_an_entry() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let random = SearchConfig::quick();
@@ -667,6 +674,7 @@ mod tests {
 
     #[test]
     fn disk_round_trip_thaws_to_identical_results() {
+        let _serial = crate::fault::serialise();
         let dir = std::env::temp_dir().join("secureloop-cache-roundtrip");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -790,6 +798,7 @@ mod tests {
 
     #[test]
     fn schemes_never_share_an_entry() {
+        let _serial = crate::fault::serialise();
         use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
@@ -819,6 +828,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
+        let _serial = crate::fault::serialise();
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -848,6 +858,7 @@ mod tests {
 
     #[test]
     fn oversized_single_entry_still_serves() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new().with_budget_bytes(1);
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -859,6 +870,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
+        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();

@@ -152,6 +152,14 @@ fn plan_slot() -> MutexGuard<'static, Option<FaultPlan>> {
     PLAN.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Hold the fault-scope lock without arming a plan, for tests whose
+/// cache counters a concurrently armed plan would disturb (an armed
+/// plan bypasses the candidate cache).
+#[cfg(test)]
+pub(crate) fn serialise() -> MutexGuard<'static, ()> {
+    SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn io_fired() -> MutexGuard<'static, BTreeMap<String, u32>> {
     IO_FIRED.lock().unwrap_or_else(|e| e.into_inner())
 }
