@@ -11,14 +11,8 @@
 
 use std::collections::HashSet;
 
-use secureloop_telemetry::Counter;
-
 use crate::congruence::{count_residues_le, floor_sum};
 use crate::lattice::{BlockAssignment, Region, TileRect};
-
-/// How many times the closed-form congruence solver ran — the unit the
-/// optimiser's `OPTIMIZE_BUDGET` is denominated in.
-static CONGRUENCE_CALLS: Counter = Counter::new("authblock.congruence_calls");
 
 /// The outcome of overlapping one tile against one block lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,30 +116,29 @@ pub fn count_blocks_rows(region: Region, tile: TileRect, assign: BlockAssignment
 /// are monotone, so their union is the envelope minus the gaps between
 /// consecutive rows — and the gap sizes depend only on
 /// `(e_r mod u)`, a linear-congruence count.
+///
+/// The linear-index arithmetic is native `u64` for every region whose
+/// `elems()` fits `u64` (extents up to `u32::MAX`): `s0`, `e0`,
+/// `e0 + (n−1)·w` and the envelope are linear indices or block ids of
+/// the in-bounds tile, so at most `h·w − 1`, and the gap term is at most
+/// `(n−1)·⌊g/u⌋ <= (h−1)·w`. Only the congruence count can need wider
+/// operands, and [`count_residues_le`] picks its own width.
 pub fn count_blocks(region: Region, tile: TileRect, assign: BlockAssignment) -> BlockCount {
-    CONGRUENCE_CALLS.incr();
     let (region, tile) = assign.to_row_major(region, tile);
     assert_tile_fits(region, tile);
-    // All linear-index arithmetic is widened to u128: `e0 + (n-1)*w`
-    // is the tile's last linear element (bounded by `elems - 1` for an
-    // in-bounds tile), but the products along the way are formed from
-    // near-`u32::MAX` extents and must not wrap before the division.
     let u = assign.size;
-    let u128w = u as u128;
     let w = region.w;
     let n = tile.rows;
-    let s0 = tile.row0 as u128 * w as u128 + tile.col0 as u128;
-    let e0 = s0 + tile.cols as u128 - 1;
-
-    let lo_first = s0 / u128w;
-    let hi_last = (e0 + (n as u128 - 1) * w as u128) / u128w;
-    let envelope = hi_last - lo_first + 1;
+    let s0 = tile.row0 * w + tile.col0;
+    let e0 = s0 + tile.cols - 1;
+    let hi_last = (e0 + (n - 1) * w) / u;
+    let envelope = hi_last - s0 / u + 1;
 
     // Gap between row r-1's last block and row r's first block:
     // g = s_r - e_{r-1} = w - cols + 1 linear positions. The number of
     // block boundaries inside that span is q = ⌊g/u⌋ plus one more when
     // (e_{r-1} mod u) >= u - (g mod u); gaps of zero blocks are free.
-    let gaps: u128 = if n >= 2 {
+    let gaps = if n >= 2 {
         let g = w - tile.cols + 1;
         let q = g / u;
         if q == 0 {
@@ -157,19 +150,17 @@ pub fn count_blocks(region: Region, tile: TileRect, assign: BlockAssignment) -> 
                 0
             } else {
                 // #{r in [0, pairs): (w*r + e0) mod u >= u - rem}
-                pairs - count_residues_le(pairs, w % u, (e0 % u128w) as u64, u, u - rem - 1)
+                pairs - count_residues_le(pairs, w % u, e0 % u, u, u - rem - 1)
             };
-            (pairs as u128) * (q as u128 - 1) + extra as u128
+            pairs * (q - 1) + extra
         }
     } else {
         0
     };
     // The union of the per-row intervals has at least one block per
-    // row-pair boundary left, so `gaps < envelope` and the count fits
-    // u64 (it is at most `blocks_in(region)`).
-    let blocks = u64::try_from(envelope - gaps).expect("block count fits the region");
-
-    let last_id = (region.elems() - 1) as u128 / u128w;
+    // row-pair boundary left, so `gaps < envelope`.
+    let blocks = envelope - gaps;
+    let last_id = (region.elems() - 1) / u;
     BlockCount {
         blocks,
         fetched_elems: fetched_from_blocks(region, u, blocks, hi_last == last_id),

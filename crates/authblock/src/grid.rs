@@ -95,33 +95,54 @@ impl TileGrid {
 
     /// Iterate the tiles clipped to `region`. Tiles whose origin falls
     /// outside the region are skipped.
+    ///
+    /// Clipping is separable: a tile exists iff its row span and its
+    /// column span both survive, so the tiles are exactly the product of
+    /// [`row_spans`](Self::row_spans) and [`col_spans`](Self::col_spans),
+    /// row-major.
     pub fn tiles(&self, region: Region) -> impl Iterator<Item = TileRect> + '_ {
-        let g = *self;
-        (0..g.n_rows).flat_map(move |i| {
-            (0..g.n_cols).filter_map(move |j| {
-                // Signed origin, clipped into the region; the clipped
-                // amount shrinks the tile.
-                let r_signed = (i * g.step_h) as i64 + g.off_h;
-                let c_signed = (j * g.step_w) as i64 + g.off_w;
-                let r0 = r_signed.max(0) as u64;
-                let c0 = c_signed.max(0) as u64;
-                if r0 >= region.h || c0 >= region.w {
-                    return None;
-                }
-                let clip_h = (r0 as i64 - r_signed) as u64;
-                let clip_w = (c0 as i64 - c_signed) as u64;
-                if g.tile_h <= clip_h || g.tile_w <= clip_w {
-                    return None;
-                }
-                Some(TileRect::new(
-                    r0,
-                    c0,
-                    (g.tile_h - clip_h).min(region.h - r0),
-                    (g.tile_w - clip_w).min(region.w - c0),
-                ))
-            })
+        self.row_spans(region).flat_map(move |(r0, rows)| {
+            self.col_spans(region)
+                .map(move |(c0, cols)| TileRect::new(r0, c0, rows, cols))
         })
     }
+
+    /// `(first row, row extent)` of every tile row that survives
+    /// clipping to `region`.
+    pub fn row_spans(&self, region: Region) -> impl Iterator<Item = (u64, u64)> {
+        axis_spans(self.n_rows, self.step_h, self.off_h, self.tile_h, region.h)
+    }
+
+    /// `(first column, column extent)` of every tile column that
+    /// survives clipping to `region`.
+    pub fn col_spans(&self, region: Region) -> impl Iterator<Item = (u64, u64)> {
+        axis_spans(self.n_cols, self.step_w, self.off_w, self.tile_w, region.w)
+    }
+}
+
+/// One axis of a grid: `count` tiles of nominal extent `tile`, origins
+/// `step` apart from the signed origin `off`, clipped to `[0, extent)`.
+fn axis_spans(
+    count: u64,
+    step: u64,
+    off: i64,
+    tile: u64,
+    extent: u64,
+) -> impl Iterator<Item = (u64, u64)> {
+    (0..count).filter_map(move |i| {
+        // Signed origin, clipped into the region; the clipped amount
+        // shrinks the tile.
+        let signed = (i * step) as i64 + off;
+        let start = signed.max(0) as u64;
+        if start >= extent {
+            return None;
+        }
+        let clip = (start as i64 - signed) as u64;
+        if tile <= clip {
+            return None;
+        }
+        Some((start, (tile - clip).min(extent - start)))
+    })
 }
 
 #[cfg(test)]

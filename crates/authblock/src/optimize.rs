@@ -9,6 +9,13 @@ use crate::lattice::{BlockAssignment, Orientation, Region, TileRect};
 
 static OPTIMIZE_RUNS: Counter = Counter::new("authblock.optimize_runs");
 static CANDIDATES_CONSIDERED: Counter = Counter::new("authblock.candidates_considered");
+/// Closed-form block counts performed: one per overlapping (reader
+/// tile, producer tile) pair per assigned lattice priced — the unit
+/// `OPTIMIZE_BUDGET` is denominated in. Overlaps of one class share a
+/// single `count_blocks` call but each still counts, so the figure does
+/// not depend on how the evaluator groups them. Tallied locally and
+/// added once per evaluation, sweep or optimiser run.
+static CONGRUENCE_CALLS: Counter = Counter::new("authblock.congruence_calls");
 static CHOSEN_REDUNDANT_BITS: Counter = Counter::new("authblock.chosen_redundant_bits");
 static OPTIMIZE_TIMER: Timer = Timer::new("authblock.optimize");
 
@@ -151,103 +158,215 @@ pub struct AssignmentChoice {
     pub overhead: SplitOverhead,
 }
 
-fn producer_tiles(problem: &AssignmentProblem) -> Vec<TileRect> {
-    problem.producer_grid.tiles(problem.region).collect()
+/// A class of row (or column) overlaps between one reader's tiles and
+/// the producer's tiles: the producer tile's extent on this axis, where
+/// the overlap starts inside that tile, and how long it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OverlapClass {
+    extent: u64,
+    offset: u64,
+    len: u64,
 }
 
-/// Count blocks/fetched for `reader_tile` against per-producer-tile
-/// lattices with assignment `assign` (`None` = tile-as-AuthBlock).
-fn reader_tile_cost(
-    producers: &[TileRect],
-    reader_tile: TileRect,
-    assign: Option<BlockAssignment>,
-) -> (u64, u64) {
-    let mut blocks = 0u64;
-    let mut fetched = 0u64;
-    for p in producers {
-        let Some(sub) = reader_tile.intersect(p) else {
-            continue;
-        };
-        match assign {
-            None => {
-                // Tile-as-AuthBlock: the whole producer tile is one block.
-                blocks += 1;
-                fetched += p.elems();
-            }
-            Some(a) => {
-                // Lattice local to the producer tile.
-                let local_region = Region::new(p.rows, p.cols);
-                let local_tile =
-                    TileRect::new(sub.row0 - p.row0, sub.col0 - p.col0, sub.rows, sub.cols);
-                let c = count_blocks(local_region, local_tile, a);
-                blocks += c.blocks;
-                fetched += c.fetched_elems;
+/// Distinct values with their multiplicities.
+fn tally<K: Ord + Copy>(mut items: Vec<K>) -> Vec<(K, u64)> {
+    items.sort_unstable();
+    let mut out: Vec<(K, u64)> = Vec::new();
+    for k in items {
+        match out.last_mut() {
+            Some((last, m)) if *last == k => *m += 1,
+            _ => out.push((k, 1)),
+        }
+    }
+    out
+}
+
+/// Every overlap of a reader span with a producer span on one axis.
+fn axis_overlaps(reader: &[(u64, u64)], producer: &[(u64, u64)]) -> Vec<(OverlapClass, u64)> {
+    let mut classes = Vec::new();
+    for &(r0, r_len) in reader {
+        for &(p0, p_len) in producer {
+            let lo = r0.max(p0);
+            let hi = (r0 + r_len).min(p0 + p_len);
+            if lo < hi {
+                classes.push(OverlapClass {
+                    extent: p_len,
+                    offset: lo - p0,
+                    len: hi - lo,
+                });
             }
         }
     }
-    (blocks, fetched)
+    tally(classes)
+}
+
+/// `(Σ multiplicity, Σ multiplicity × producer extent)` over classes.
+fn overlap_sums(classes: &[(OverlapClass, u64)]) -> (u64, u64) {
+    classes
+        .iter()
+        .fold((0, 0), |(n, e), &(c, m)| (n + m, e + m * c.extent))
+}
+
+/// One reader's candidate-independent geometry.
+struct PreparedReader {
+    sweeps: u64,
+    /// Reader tiles that survive clipping.
+    tiles: u64,
+    /// Their summed elements.
+    elems: u64,
+    rows: Vec<(OverlapClass, u64)>,
+    cols: Vec<(OverlapClass, u64)>,
+}
+
+impl PreparedReader {
+    /// `(blocks, fetched elements)` summed over every reader tile.
+    ///
+    /// A reader tile's overlap with a producer tile is a row overlap
+    /// times a column overlap, and `count_blocks` on the producer-local
+    /// lattice depends only on their two classes. So the sum over all
+    /// (reader tile, producer tile) pairs is one count per row-class ×
+    /// column-class pair, weighted by both multiplicities (`None` =
+    /// tile-as-AuthBlock: one block, the whole producer tile, per
+    /// overlap). `counts` gains one per overlap priced in closed form.
+    fn cost(&self, assign: Option<BlockAssignment>, counts: &mut u64) -> (u64, u64) {
+        let (row_overlaps, row_extents) = overlap_sums(&self.rows);
+        let (col_overlaps, col_extents) = overlap_sums(&self.cols);
+        let Some(a) = assign else {
+            return (row_overlaps * col_overlaps, row_extents * col_extents);
+        };
+        *counts += row_overlaps * col_overlaps;
+        let mut blocks = 0u64;
+        let mut fetched = 0u64;
+        for &(r, r_mult) in &self.rows {
+            for &(c, c_mult) in &self.cols {
+                let local_region = Region::new(r.extent, c.extent);
+                let local_tile = TileRect::new(r.offset, c.offset, r.len, c.len);
+                let n = count_blocks(local_region, local_tile, a);
+                blocks += r_mult * c_mult * n.blocks;
+                fetched += r_mult * c_mult * n.fetched_elems;
+            }
+        }
+        (blocks, fetched)
+    }
+}
+
+/// Everything about a problem that does not depend on the strategy,
+/// built once and reused for every candidate: per reader, the row and
+/// column overlap classes against the producer tiles; for the producer,
+/// its tile count and tile-extent classes.
+struct PreparedProblem<'a> {
+    problem: &'a AssignmentProblem,
+    producer_tiles: u64,
+    producer_rows: Vec<(u64, u64)>,
+    producer_cols: Vec<(u64, u64)>,
+    readers: Vec<PreparedReader>,
+}
+
+fn prepare(problem: &AssignmentProblem) -> PreparedProblem<'_> {
+    let region = problem.region;
+    let span_total = |spans: &[(u64, u64)]| spans.iter().map(|&(_, len)| len).sum::<u64>();
+    let extents = |spans: &[(u64, u64)]| tally(spans.iter().map(|&(_, len)| len).collect());
+    let p_rows: Vec<_> = problem.producer_grid.row_spans(region).collect();
+    let p_cols: Vec<_> = problem.producer_grid.col_spans(region).collect();
+    let readers = problem
+        .readers
+        .iter()
+        .map(|reader| {
+            let rows: Vec<_> = reader.grid.row_spans(region).collect();
+            let cols: Vec<_> = reader.grid.col_spans(region).collect();
+            PreparedReader {
+                sweeps: reader.sweeps,
+                tiles: rows.len() as u64 * cols.len() as u64,
+                elems: span_total(&rows) * span_total(&cols),
+                rows: axis_overlaps(&rows, &p_rows),
+                cols: axis_overlaps(&cols, &p_cols),
+            }
+        })
+        .collect();
+    PreparedProblem {
+        problem,
+        producer_tiles: p_rows.len() as u64 * p_cols.len() as u64,
+        producer_rows: extents(&p_rows),
+        producer_cols: extents(&p_cols),
+        readers,
+    }
+}
+
+impl PreparedProblem<'_> {
+    /// Price `strategy`, split into the producer-side and consumer-side
+    /// shares; `counts` gains the closed-form counts performed.
+    fn evaluate(&self, strategy: Strategy, counts: &mut u64) -> SplitOverhead {
+        let problem = self.problem;
+        let word = u64::from(problem.word_bits);
+        let tag = u64::from(problem.tag_bits);
+        let mut out = SplitOverhead::default();
+
+        match strategy {
+            Strategy::TileAsAuthBlock | Strategy::Assigned(_) => {
+                let assign = match strategy {
+                    Strategy::Assigned(a) => Some(a),
+                    _ => None,
+                };
+                // Producer-side hash traffic: one tag per block per
+                // write/psum sweep.
+                let producer_blocks = match assign {
+                    None => self.producer_tiles,
+                    Some(a) => {
+                        let mut blocks = 0u64;
+                        for &(h, h_mult) in &self.producer_rows {
+                            for &(w, w_mult) in &self.producer_cols {
+                                blocks += h_mult * w_mult * a.blocks_in(Region::new(h, w));
+                            }
+                        }
+                        blocks
+                    }
+                };
+                out.producer.hash_bits += producer_blocks * tag * problem.producer_write_sweeps;
+
+                for reader in &self.readers {
+                    let (blocks, fetched) = reader.cost(assign, counts);
+                    out.consumer.hash_bits += blocks * tag * reader.sweeps;
+                    out.consumer.redundant_bits += (fetched - reader.elems) * word * reader.sweeps;
+                }
+            }
+            Strategy::ReaderAligned => {
+                assert_eq!(
+                    problem.producer_write_sweeps, 0,
+                    "ReaderAligned requires an offline-provisioned tensor"
+                );
+                for reader in &self.readers {
+                    out.consumer.hash_bits += reader.tiles * tag * reader.sweeps;
+                }
+            }
+            Strategy::Rehash => {
+                // Producer writes with tile-as-AuthBlock on its own grid.
+                out.producer.hash_bits += self.producer_tiles * tag * problem.producer_write_sweeps;
+                // Rehash pass: read everything back (with its hashes),
+                // then write it out re-blocked per reader tile.
+                // Overlapping reader tiles duplicate their halo data on
+                // the rewrite.
+                let region_bits = problem.region.elems() * word;
+                out.consumer.rehash_bits += region_bits + self.producer_tiles * tag;
+                for reader in &self.readers {
+                    out.consumer.rehash_bits += reader.elems * word + reader.tiles * tag;
+                    // Subsequent reads are perfectly aligned: hash only.
+                    out.consumer.hash_bits += reader.tiles * tag * reader.sweeps;
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Evaluate the overhead of `strategy` on `problem`, split into the
 /// producer-side and consumer-side shares.
+///
+/// To price many strategies on one problem, [`optimize`] and [`sweep`]
+/// build the candidate-independent overlap table once instead.
 pub fn evaluate_assignment(problem: &AssignmentProblem, strategy: Strategy) -> SplitOverhead {
-    let word = u64::from(problem.word_bits);
-    let tag = u64::from(problem.tag_bits);
-    let producers = producer_tiles(problem);
-    let mut out = SplitOverhead::default();
-
-    match strategy {
-        Strategy::TileAsAuthBlock | Strategy::Assigned(_) => {
-            let assign = match strategy {
-                Strategy::Assigned(a) => Some(a),
-                _ => None,
-            };
-            // Producer-side hash traffic: one tag per block per
-            // write/psum sweep.
-            let producer_blocks: u64 = producers
-                .iter()
-                .map(|p| match assign {
-                    None => 1,
-                    Some(a) => a.blocks_in(Region::new(p.rows, p.cols)),
-                })
-                .sum();
-            out.producer.hash_bits += producer_blocks * tag * problem.producer_write_sweeps;
-
-            for reader in &problem.readers {
-                for t in reader.grid.tiles(problem.region) {
-                    let (blocks, fetched) = reader_tile_cost(&producers, t, assign);
-                    out.consumer.hash_bits += blocks * tag * reader.sweeps;
-                    out.consumer.redundant_bits += (fetched - t.elems()) * word * reader.sweeps;
-                }
-            }
-        }
-        Strategy::ReaderAligned => {
-            assert_eq!(
-                problem.producer_write_sweeps, 0,
-                "ReaderAligned requires an offline-provisioned tensor"
-            );
-            for reader in &problem.readers {
-                let tiles = reader.grid.tiles(problem.region).count() as u64;
-                out.consumer.hash_bits += tiles * tag * reader.sweeps;
-            }
-        }
-        Strategy::Rehash => {
-            // Producer writes with tile-as-AuthBlock on its own grid.
-            out.producer.hash_bits += producers.len() as u64 * tag * problem.producer_write_sweeps;
-            // Rehash pass: read everything back (with its hashes), then
-            // write it out re-blocked per reader tile. Overlapping
-            // reader tiles duplicate their halo data on the rewrite.
-            let region_bits = problem.region.elems() * word;
-            out.consumer.rehash_bits += region_bits + producers.len() as u64 * tag;
-            for reader in &problem.readers {
-                let rewrite_elems: u64 = reader.grid.tiles(problem.region).map(|t| t.elems()).sum();
-                let tiles = reader.grid.tiles(problem.region).count() as u64;
-                out.consumer.rehash_bits += rewrite_elems * word + tiles * tag;
-                // Subsequent reads are perfectly aligned: hash only.
-                out.consumer.hash_bits += tiles * tag * reader.sweeps;
-            }
-        }
-    }
+    let mut counts = 0;
+    let out = prepare(problem).evaluate(strategy, &mut counts);
+    CONGRUENCE_CALLS.add(counts);
     out
 }
 
@@ -310,30 +429,61 @@ fn candidate_sizes(problem: &AssignmentProblem, cap: u64) -> Vec<u64> {
     cands
 }
 
+/// Largest candidate block size: one producer tile, at most 4096.
+fn size_cap(problem: &AssignmentProblem) -> u64 {
+    (problem.producer_grid.tile_h * problem.producer_grid.tile_w).min(4096)
+}
+
 /// Evaluate every candidate size of one orientation and return the
 /// `(size, overhead)` curve — the API behind Fig. 9-style analyses for
-/// arbitrary tensors. The candidate set matches [`optimize`]'s.
+/// arbitrary tensors. The curve covers the full candidate set, before
+/// the `OPTIMIZE_BUDGET` thinning [`optimize`] applies on large reader
+/// grids, so it can hold sizes [`optimize`] never tried.
 pub fn sweep(
     problem: &AssignmentProblem,
     orientation: Orientation,
 ) -> Vec<(u64, OverheadBreakdown)> {
-    let cap = (problem.producer_grid.tile_h * problem.producer_grid.tile_w).min(4096);
-    candidate_sizes(problem, cap)
+    let prepared = prepare(problem);
+    let mut counts = 0;
+    let curve = candidate_sizes(problem, size_cap(problem))
         .into_iter()
         .map(|size| {
-            let o = evaluate_assignment(
-                problem,
-                Strategy::Assigned(BlockAssignment::new(orientation, size)),
-            );
+            let a = BlockAssignment::new(orientation, size);
+            let o = prepared.evaluate(Strategy::Assigned(a), &mut counts);
             (size, o.total())
         })
-        .collect()
+        .collect();
+    CONGRUENCE_CALLS.add(counts);
+    curve
 }
 
 /// How many `count_blocks` evaluations `optimize` may spend per tensor.
 /// Large reader grids thin the candidate list to stay within budget
 /// (geometry-derived candidates are kept).
 const OPTIMIZE_BUDGET: u64 = 200_000;
+
+/// The block sizes [`optimize`] searches in each orientation, and
+/// whether `OPTIMIZE_BUDGET` thinned them to every k-th candidate
+/// (public so tests can replay the thinning rule).
+#[doc(hidden)]
+pub fn optimize_sizes(problem: &AssignmentProblem) -> (Vec<u64>, bool) {
+    let cands = candidate_sizes(problem, size_cap(problem));
+    let tiles_per_eval: u64 = problem
+        .readers
+        .iter()
+        .map(|r| r.grid.len())
+        .sum::<u64>()
+        .max(1)
+        + problem.producer_grid.len();
+    let max_cands = (OPTIMIZE_BUDGET / (2 * tiles_per_eval)).max(16) as usize;
+    if cands.len() <= max_cands {
+        return (cands, false);
+    }
+    // Keep every k-th candidate; alignment sweet spots from the
+    // geometry set remain dense at the small end where they matter.
+    let stride = cands.len().div_ceil(max_cands);
+    (cands.into_iter().step_by(stride).collect(), true)
+}
 
 /// Exhaustively search orientations × candidate sizes, compare against
 /// the tile-as-AuthBlock and rehash baselines, and return the strategy
@@ -345,15 +495,18 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
         format!("{}x{}", problem.region.h, problem.region.w),
     )
     .with_timer(&OPTIMIZE_TIMER);
-    // Strategies evaluated this run, flushed to the global counter once.
+    let prepared = prepare(problem);
+    // Strategies evaluated and closed-form counts performed this run,
+    // flushed to the global counters once.
     let mut considered = 2u64; // tile-as-AuthBlock + rehash baselines
+    let mut counts = 0u64;
+    let mut evaluate = |strategy| prepared.evaluate(strategy, &mut counts);
 
-    let cap = (problem.producer_grid.tile_h * problem.producer_grid.tile_w).min(4096);
     let mut best = AssignmentChoice {
         strategy: Strategy::TileAsAuthBlock,
-        overhead: evaluate_assignment(problem, Strategy::TileAsAuthBlock),
+        overhead: evaluate(Strategy::TileAsAuthBlock),
     };
-    let rehash = evaluate_assignment(problem, Strategy::Rehash);
+    let rehash = evaluate(Strategy::Rehash);
     if rehash.total().total_bits() < best.overhead.total().total_bits() {
         best = AssignmentChoice {
             strategy: Strategy::Rehash,
@@ -362,7 +515,7 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     }
     if problem.producer_write_sweeps == 0 {
         considered += 1;
-        let aligned = evaluate_assignment(problem, Strategy::ReaderAligned);
+        let aligned = evaluate(Strategy::ReaderAligned);
         if aligned.total().total_bits() < best.overhead.total().total_bits() {
             best = AssignmentChoice {
                 strategy: Strategy::ReaderAligned,
@@ -371,27 +524,12 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
         }
     }
 
-    let mut cands = candidate_sizes(problem, cap);
-    let tiles_per_eval: u64 = problem
-        .readers
-        .iter()
-        .map(|r| r.grid.len())
-        .sum::<u64>()
-        .max(1)
-        + problem.producer_grid.len();
-    let max_cands = (OPTIMIZE_BUDGET / (2 * tiles_per_eval)).max(16) as usize;
-    if cands.len() > max_cands {
-        // Keep every k-th candidate; alignment sweet spots from the
-        // geometry set remain dense at the small end where they matter.
-        let stride = cands.len().div_ceil(max_cands);
-        cands = cands.into_iter().step_by(stride).collect();
-    }
-
+    let (cands, thinned) = optimize_sizes(problem);
     for orientation in Orientation::ALL {
         considered += cands.len() as u64;
         for &size in &cands {
             let a = BlockAssignment::new(orientation, size);
-            let o = evaluate_assignment(problem, Strategy::Assigned(a));
+            let o = evaluate(Strategy::Assigned(a));
             if o.total().total_bits() < best.overhead.total().total_bits() {
                 best = AssignmentChoice {
                     strategy: Strategy::Assigned(a),
@@ -402,9 +540,11 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     }
 
     CANDIDATES_CONSIDERED.add(considered);
+    CONGRUENCE_CALLS.add(counts);
     CHOSEN_REDUNDANT_BITS.add(best.overhead.total().redundant_bits);
     span.add_field("strategy", strategy_name(best.strategy));
     span.add_field("candidates", considered);
+    span.add_field("thinned", thinned);
     span.add_field("redundant_bits", best.overhead.total().redundant_bits);
     best
 }

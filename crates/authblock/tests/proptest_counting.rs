@@ -9,9 +9,10 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 use secureloop_authblock::count::{count_blocks, count_blocks_brute, count_blocks_rows};
+use secureloop_authblock::optimize::optimize_sizes;
 use secureloop_authblock::{
-    evaluate_assignment, AccessPattern, AssignmentProblem, BlockAssignment, Orientation, Region,
-    Strategy, TileGrid, TileRect,
+    evaluate_assignment, optimize, AccessPattern, AssignmentChoice, AssignmentProblem,
+    BlockAssignment, Orientation, Region, SplitOverhead, Strategy, TileGrid, TileRect,
 };
 
 fn geometry() -> impl proptest::strategy::Strategy<Value = (Region, TileRect, BlockAssignment)> {
@@ -476,4 +477,234 @@ proptest! {
         prop_assert_eq!(fast, brute, "req {:?} u {}", req, u);
         prop_assert!(fast.fetched_elems >= req.needed_elems());
     }
+}
+
+/// Per-tile tile enumeration, one tile at a time with both axes clipped
+/// together — the reference for `TileGrid::tiles`.
+fn reference_tiles(g: &TileGrid, region: Region) -> Vec<TileRect> {
+    let mut out = Vec::new();
+    for i in 0..g.n_rows {
+        for j in 0..g.n_cols {
+            let r_signed = (i * g.step_h) as i64 + g.off_h;
+            let c_signed = (j * g.step_w) as i64 + g.off_w;
+            let r0 = r_signed.max(0) as u64;
+            let c0 = c_signed.max(0) as u64;
+            if r0 >= region.h || c0 >= region.w {
+                continue;
+            }
+            let clip_h = (r0 as i64 - r_signed) as u64;
+            let clip_w = (c0 as i64 - c_signed) as u64;
+            if g.tile_h <= clip_h || g.tile_w <= clip_w {
+                continue;
+            }
+            out.push(TileRect::new(
+                r0,
+                c0,
+                (g.tile_h - clip_h).min(region.h - r0),
+                (g.tile_w - clip_w).min(region.w - c0),
+            ));
+        }
+    }
+    out
+}
+
+/// The per-tile evaluator: every reader tile intersected with every
+/// producer tile, one `count_blocks` per overlap. The reference the
+/// whole-problem evaluator must match bit for bit.
+fn per_tile_reference(problem: &AssignmentProblem, strategy: Strategy) -> SplitOverhead {
+    let word = u64::from(problem.word_bits);
+    let tag = u64::from(problem.tag_bits);
+    let producers = reference_tiles(&problem.producer_grid, problem.region);
+    let mut out = SplitOverhead::default();
+    match strategy {
+        Strategy::TileAsAuthBlock | Strategy::Assigned(_) => {
+            let assign = match strategy {
+                Strategy::Assigned(a) => Some(a),
+                _ => None,
+            };
+            let producer_blocks: u64 = producers
+                .iter()
+                .map(|p| match assign {
+                    None => 1,
+                    Some(a) => a.blocks_in(Region::new(p.rows, p.cols)),
+                })
+                .sum();
+            out.producer.hash_bits += producer_blocks * tag * problem.producer_write_sweeps;
+            for reader in &problem.readers {
+                for t in reference_tiles(&reader.grid, problem.region) {
+                    let mut blocks = 0u64;
+                    let mut fetched = 0u64;
+                    for p in &producers {
+                        let Some(sub) = t.intersect(p) else { continue };
+                        match assign {
+                            None => {
+                                blocks += 1;
+                                fetched += p.elems();
+                            }
+                            Some(a) => {
+                                let local_region = Region::new(p.rows, p.cols);
+                                let local_tile = TileRect::new(
+                                    sub.row0 - p.row0,
+                                    sub.col0 - p.col0,
+                                    sub.rows,
+                                    sub.cols,
+                                );
+                                let c = count_blocks(local_region, local_tile, a);
+                                blocks += c.blocks;
+                                fetched += c.fetched_elems;
+                            }
+                        }
+                    }
+                    out.consumer.hash_bits += blocks * tag * reader.sweeps;
+                    out.consumer.redundant_bits += (fetched - t.elems()) * word * reader.sweeps;
+                }
+            }
+        }
+        Strategy::ReaderAligned => {
+            for reader in &problem.readers {
+                let tiles = reference_tiles(&reader.grid, problem.region).len() as u64;
+                out.consumer.hash_bits += tiles * tag * reader.sweeps;
+            }
+        }
+        Strategy::Rehash => {
+            out.producer.hash_bits += producers.len() as u64 * tag * problem.producer_write_sweeps;
+            out.consumer.rehash_bits +=
+                problem.region.elems() * word + producers.len() as u64 * tag;
+            for reader in &problem.readers {
+                let tiles = reference_tiles(&reader.grid, problem.region);
+                let rewrite_elems: u64 = tiles.iter().map(|t| t.elems()).sum();
+                let n = tiles.len() as u64;
+                out.consumer.rehash_bits += rewrite_elems * word + n * tag;
+                out.consumer.hash_bits += n * tag * reader.sweeps;
+            }
+        }
+    }
+    out
+}
+
+/// `optimize`'s selection rule over the same candidate sizes, priced by
+/// the per-tile reference.
+fn reference_optimize(problem: &AssignmentProblem) -> AssignmentChoice {
+    let mut strategies = vec![Strategy::TileAsAuthBlock, Strategy::Rehash];
+    if problem.producer_write_sweeps == 0 {
+        strategies.push(Strategy::ReaderAligned);
+    }
+    let (sizes, _) = optimize_sizes(problem);
+    for orientation in Orientation::ALL {
+        for &size in &sizes {
+            strategies.push(Strategy::Assigned(BlockAssignment::new(orientation, size)));
+        }
+    }
+    let mut best: Option<AssignmentChoice> = None;
+    for strategy in strategies {
+        let overhead = per_tile_reference(problem, strategy);
+        let bits = overhead.total().total_bits();
+        if best.is_none_or(|b| bits < b.overhead.total().total_bits()) {
+            best = Some(AssignmentChoice { strategy, overhead });
+        }
+    }
+    best.expect("at least the baselines")
+}
+
+/// One reader: a halo or gapped window grid, optionally shifted to a
+/// negative origin (padded convolution), swept 1–3 times.
+fn reader(h: u64, w: u64) -> impl proptest::strategy::Strategy<Value = AccessPattern> {
+    (
+        (1u64..=h.min(7), 1u64..=w.min(7)),
+        (1u64..=8, 1u64..=8),
+        (0u64..3, 0u64..3),
+        1u64..4,
+    )
+        .prop_map(
+            move |((win_h, win_w), (step_h, step_w), (pad_h, pad_w), sweeps)| {
+                let region = Region::new(h, w);
+                AccessPattern {
+                    grid: TileGrid::covering_with_halo(region, win_h, win_w, step_h, step_w)
+                        .with_offset(-(pad_h as i64), -(pad_w as i64)),
+                    sweeps,
+                }
+            },
+        )
+}
+
+/// Whole problems: several readers, multi-tile producer grids with
+/// clipped edge tiles, and 0–3 producer write sweeps.
+fn whole_problem() -> impl proptest::strategy::Strategy<Value = AssignmentProblem> {
+    (3u64..20, 3u64..20).prop_flat_map(|(h, w)| {
+        (
+            (1u64..=h, 1u64..=w),
+            prop::collection::vec(reader(h, w), 1..4),
+            0u64..4,
+            prop_oneof![Just(8u32), Just(16u32)],
+        )
+            .prop_map(
+                move |((pt_h, pt_w), readers, producer_write_sweeps, word_bits)| {
+                    let region = Region::new(h, w);
+                    AssignmentProblem {
+                        region,
+                        producer_grid: TileGrid::covering(region, pt_h, pt_w),
+                        producer_write_sweeps,
+                        readers,
+                        word_bits,
+                        tag_bits: 64,
+                    }
+                },
+            )
+    })
+}
+
+fn check_against_reference(p: &AssignmentProblem) -> Result<(), TestCaseError> {
+    for g in std::iter::once(&p.producer_grid).chain(p.readers.iter().map(|r| &r.grid)) {
+        let tiles: Vec<TileRect> = g.tiles(p.region).collect();
+        prop_assert_eq!(tiles, reference_tiles(g, p.region), "grid {:?}", g);
+    }
+    let mut strategies = vec![Strategy::TileAsAuthBlock, Strategy::Rehash];
+    if p.producer_write_sweeps == 0 {
+        strategies.push(Strategy::ReaderAligned);
+    }
+    for size in [1, 2, 3, 5, 8, p.region.w, p.region.h * p.region.w + 1] {
+        for o in Orientation::ALL {
+            strategies.push(Strategy::Assigned(BlockAssignment::new(o, size)));
+        }
+    }
+    for s in strategies {
+        prop_assert_eq!(
+            evaluate_assignment(p, s),
+            per_tile_reference(p, s),
+            "{:?} on {:?}",
+            s,
+            p
+        );
+    }
+    prop_assert_eq!(optimize(p), reference_optimize(p), "on {:?}", p);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn whole_problem_evaluation_matches_the_per_tile_reference(p in whole_problem()) {
+        check_against_reference(&p)?;
+    }
+}
+
+#[test]
+fn thinned_search_matches_the_per_tile_reference() {
+    // A 3x3 halo reader stepping 1 over a 56x56 plane: enough reader
+    // tiles that OPTIMIZE_BUDGET thins the candidate sizes.
+    let region = Region::new(56, 56);
+    let p = AssignmentProblem {
+        region,
+        producer_grid: TileGrid::covering(region, 14, 28),
+        producer_write_sweeps: 2,
+        readers: vec![AccessPattern {
+            grid: TileGrid::covering_with_halo(region, 3, 3, 1, 1).with_offset(-1, -1),
+            sweeps: 3,
+        }],
+        word_bits: 8,
+        tag_bits: 64,
+    };
+    assert!(optimize_sizes(&p).1, "the budget must thin this problem");
+    check_against_reference(&p).unwrap();
 }

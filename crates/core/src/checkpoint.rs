@@ -559,7 +559,7 @@ mod tests {
     use crate::scheduler::Scheduler;
     use secureloop_arch::Architecture;
     use secureloop_crypto::{CryptoConfig, EngineClass};
-    use secureloop_mapper::{FaultPlan, FaultScope, SearchConfig};
+    use secureloop_mapper::SearchConfig;
     use secureloop_workload::zoo;
 
     fn sample_schedule() -> NetworkSchedule {
@@ -588,22 +588,6 @@ mod tests {
             assert_eq!(a.mapping, b.mapping);
             assert_eq!(a.latency_cycles, b.latency_cycles);
         }
-    }
-
-    #[test]
-    fn degraded_and_failed_outcomes_survive_the_round_trip() {
-        let arch =
-            Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
-        let _scope = FaultScope::inject(FaultPlan::fail(["conv3"]));
-        let s = Scheduler::new(arch)
-            .with_search(SearchConfig::quick())
-            .with_annealing(AnnealingConfig::quick())
-            .schedule(&zoo::alexnet_conv(), Algorithm::CryptOptCross)
-            .expect("partial schedule");
-        assert_eq!(s.failed_count(), 1);
-        let back = schedule_from_json(&schedule_to_json(&s)).unwrap();
-        assert_eq!(back.failed_count(), 1);
-        assert_eq!(back.outcomes, s.outcomes);
     }
 
     #[test]

@@ -624,7 +624,6 @@ impl Scheduler {
 mod tests {
     use super::*;
     use secureloop_crypto::{CryptoConfig, EngineClass};
-    use secureloop_mapper::{FaultPlan, FaultScope};
     use secureloop_workload::zoo;
 
     fn quick_scheduler(secure: bool) -> Scheduler {
@@ -727,45 +726,6 @@ mod tests {
             assert_eq!(Algorithm::from_name(alg.name()), Some(alg));
         }
         assert_eq!(Algorithm::from_name("nonsense"), None);
-    }
-
-    #[test]
-    fn injected_failure_is_isolated_not_fatal() {
-        let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true);
-        let _scope = FaultScope::inject(FaultPlan::fail(["conv2", "conv4"]));
-        for alg in [
-            Algorithm::CryptTileSingle,
-            Algorithm::CryptOptSingle,
-            Algorithm::CryptOptCross,
-        ] {
-            let r = s
-                .schedule(&net, alg)
-                .expect("partial schedule still succeeds");
-            assert_eq!(r.failed_count(), 2, "{alg}");
-            assert_eq!(r.layers.len(), 3, "{alg}");
-            assert!(!r.is_complete());
-            let failed: Vec<_> = r
-                .outcomes
-                .iter()
-                .filter(|(_, o)| !o.is_scheduled())
-                .map(|(n, _)| n.as_str())
-                .collect();
-            assert_eq!(failed, vec!["conv2", "conv4"], "{alg}");
-            assert!(r.total_latency_cycles > 0);
-        }
-    }
-
-    #[test]
-    fn all_layers_failing_is_an_error() {
-        let net = zoo::alexnet_conv();
-        let s = quick_scheduler(true);
-        let _scope = FaultScope::inject(FaultPlan::fail([
-            "conv1", "conv2", "conv3", "conv4", "conv5",
-        ]));
-        let err = s.schedule(&net, Algorithm::CryptOptSingle).unwrap_err();
-        assert!(matches!(err, SecureLoopError::Schedule(_)));
-        assert!(err.to_string().contains("AlexNet"));
     }
 
     #[test]

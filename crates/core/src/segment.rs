@@ -39,7 +39,9 @@ pub enum StrategyMode {
 /// candidate schedules is revisited.
 #[derive(Debug, Default)]
 pub struct OverheadCache {
-    map: HashMap<(AssignmentProblem, StrategyMode, bool), SplitOverhead>,
+    /// One map per (mode, coupled) pair, so a lookup borrows the
+    /// problem and only a miss clones it into a key.
+    maps: [HashMap<AssignmentProblem, SplitOverhead>; 4],
 }
 
 impl OverheadCache {
@@ -50,17 +52,20 @@ impl OverheadCache {
 
     /// Number of cached tensor problems.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.maps.iter().map(HashMap::len).sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.maps.iter().all(HashMap::is_empty)
     }
 
     fn overhead(&mut self, case: &TensorCase, mode: StrategyMode) -> SplitOverhead {
-        let key = (case.problem.clone(), mode, case.coupled);
-        if let Some(hit) = self.map.get(&key) {
+        let slot = match mode {
+            StrategyMode::TileRehash => 0,
+            StrategyMode::Optimal => 2,
+        } + usize::from(case.coupled);
+        if let Some(hit) = self.maps[slot].get(&case.problem) {
             CACHE_HITS.incr();
             return *hit;
         }
@@ -91,7 +96,7 @@ impl OverheadCache {
             }
             StrategyMode::Optimal => optimize(&case.problem).overhead,
         };
-        self.map.insert(key, split);
+        self.maps[slot].insert(case.problem.clone(), split);
         split
     }
 }

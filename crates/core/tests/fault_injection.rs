@@ -2,10 +2,15 @@
 //! scheduling engine and check the failures stay contained — partial
 //! schedules instead of panics, typed errors instead of hangs, and
 //! checkpoints that survive an interrupted sweep.
+//!
+//! A fault plan is process-global, so every test that arms one lives
+//! here, where every test holds a `FaultScope` and they run one at a
+//! time; in the library's unit-test binary an armed plan would fail
+//! layers of unrelated tests running beside it.
 
 use std::time::Duration;
 
-use secureloop::cli;
+use secureloop::{checkpoint, cli};
 use secureloop::{Algorithm, LayerOutcome, Scheduler, SecureLoopError};
 use secureloop_arch::Architecture;
 use secureloop_crypto::{CryptoConfig, EngineClass};
@@ -177,4 +182,85 @@ fn interrupted_cli_dse_resumes_from_checkpoint() {
     assert_eq!(table(&first), table(&second));
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&cache);
+}
+
+#[test]
+fn injected_failure_isolates_to_the_named_layer() {
+    let net = zoo::alexnet_conv();
+    let _scope = FaultScope::inject(FaultPlan::fail(["conv2"]));
+    let set = secureloop::candidates::find_candidates(
+        &net,
+        &Architecture::eyeriss_base(),
+        &SearchConfig::quick(),
+    );
+    let idx = net
+        .layers()
+        .iter()
+        .position(|l| l.name() == "conv2")
+        .unwrap();
+    assert_eq!(set.failed_layers(), vec![idx]);
+    assert!(matches!(
+        set.per_layer[idx].error,
+        Some(secureloop_mapper::MapperError::InjectedFailure { .. })
+    ));
+    for (i, c) in set.per_layer.iter().enumerate() {
+        if i != idx {
+            assert!(!c.is_empty(), "layer {i} must be unaffected");
+        }
+    }
+}
+
+#[test]
+fn degraded_and_failed_outcomes_survive_the_round_trip() {
+    let arch =
+        Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
+    let _scope = FaultScope::inject(FaultPlan::fail(["conv3"]));
+    let s = Scheduler::new(arch)
+        .with_search(SearchConfig::quick())
+        .with_annealing(secureloop::AnnealingConfig::quick())
+        .schedule(&zoo::alexnet_conv(), Algorithm::CryptOptCross)
+        .expect("partial schedule");
+    assert_eq!(s.failed_count(), 1);
+    let back = checkpoint::schedule_from_json(&checkpoint::schedule_to_json(&s)).unwrap();
+    assert_eq!(back.failed_count(), 1);
+    assert_eq!(back.outcomes, s.outcomes);
+}
+
+#[test]
+fn injected_failure_is_isolated_not_fatal() {
+    let net = zoo::alexnet_conv();
+    let s = secure_scheduler();
+    let _scope = FaultScope::inject(FaultPlan::fail(["conv2", "conv4"]));
+    for alg in [
+        Algorithm::CryptTileSingle,
+        Algorithm::CryptOptSingle,
+        Algorithm::CryptOptCross,
+    ] {
+        let r = s
+            .schedule(&net, alg)
+            .expect("partial schedule still succeeds");
+        assert_eq!(r.failed_count(), 2, "{alg}");
+        assert_eq!(r.layers.len(), 3, "{alg}");
+        assert!(!r.is_complete());
+        let failed: Vec<_> = r
+            .outcomes
+            .iter()
+            .filter(|(_, o)| !o.is_scheduled())
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(failed, vec!["conv2", "conv4"], "{alg}");
+        assert!(r.total_latency_cycles > 0);
+    }
+}
+
+#[test]
+fn all_layers_failing_is_an_error() {
+    let net = zoo::alexnet_conv();
+    let s = secure_scheduler();
+    let _scope = FaultScope::inject(FaultPlan::fail([
+        "conv1", "conv2", "conv3", "conv4", "conv5",
+    ]));
+    let err = s.schedule(&net, Algorithm::CryptOptSingle).unwrap_err();
+    assert!(matches!(err, SecureLoopError::Schedule(_)));
+    assert!(err.to_string().contains("AlexNet"));
 }

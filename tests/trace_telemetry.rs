@@ -60,6 +60,15 @@ fn schedule_trace_covers_mapper_authblock_anneal_scheduler() {
     for phase in ["mapper", "authblock", "anneal", "scheduler"] {
         assert!(phases.contains(phase), "missing phase {phase}: {phases:?}");
     }
+    // Every optimiser span says whether the candidate budget thinned
+    // its search.
+    let text = std::fs::read_to_string(&trace).expect("trace file exists");
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v = Json::parse(line).expect("trace line parses");
+        if v["phase"].as_str() == Some("authblock") && v["event"].as_str() == Some("span") {
+            assert!(v["thinned"].as_bool().is_some(), "no thinned flag: {line}");
+        }
+    }
 
     // The JSON report carries the telemetry summary.
     let v = Json::parse(&out).expect("report parses");
