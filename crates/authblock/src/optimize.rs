@@ -8,13 +8,20 @@ use crate::grid::TileGrid;
 use crate::lattice::{BlockAssignment, Orientation, Region, TileRect};
 
 static OPTIMIZE_RUNS: Counter = Counter::new("authblock.optimize_runs");
+/// Strategies in [`optimize`]'s candidate set: the baselines plus every
+/// lattice, whether or not the search priced it.
 static CANDIDATES_CONSIDERED: Counter = Counter::new("authblock.candidates_considered");
+/// Strategies [`optimize`] actually priced: the ones its lower bound
+/// could not rule out.
+static CANDIDATES_PRICED: Counter = Counter::new("authblock.candidates_priced");
 /// Closed-form block counts performed: one per overlapping (reader
 /// tile, producer tile) pair per assigned lattice priced — the unit
-/// `OPTIMIZE_BUDGET` is denominated in. Overlaps of one class share a
-/// single `count_blocks` call but each still counts, so the figure does
-/// not depend on how the evaluator groups them. Tallied locally and
-/// added once per evaluation, sweep or optimiser run.
+/// `OPTIMIZE_BUDGET` is denominated in. Candidates [`optimize`] rules
+/// out by their lower bound are never priced and add nothing. Overlaps
+/// of one class share a single `count_blocks` call but each still
+/// counts, so the figure does not depend on how the evaluator groups
+/// them. Tallied locally and added once per evaluation, sweep or
+/// optimiser run.
 static CONGRUENCE_CALLS: Counter = Counter::new("authblock.congruence_calls");
 static CHOSEN_REDUNDANT_BITS: Counter = Counter::new("authblock.chosen_redundant_bits");
 static OPTIMIZE_TIMER: Timer = Timer::new("authblock.optimize");
@@ -214,6 +221,10 @@ struct PreparedReader {
     tiles: u64,
     /// Their summed elements.
     elems: u64,
+    /// Overlapping (reader tile, producer tile) pairs.
+    overlaps: u64,
+    /// Elements of the producer tile summed over those pairs.
+    overlapped_producer_elems: u64,
     rows: Vec<(OverlapClass, u64)>,
     cols: Vec<(OverlapClass, u64)>,
 }
@@ -229,12 +240,10 @@ impl PreparedReader {
     /// tile-as-AuthBlock: one block, the whole producer tile, per
     /// overlap). `counts` gains one per overlap priced in closed form.
     fn cost(&self, assign: Option<BlockAssignment>, counts: &mut u64) -> (u64, u64) {
-        let (row_overlaps, row_extents) = overlap_sums(&self.rows);
-        let (col_overlaps, col_extents) = overlap_sums(&self.cols);
         let Some(a) = assign else {
-            return (row_overlaps * col_overlaps, row_extents * col_extents);
+            return (self.overlaps, self.overlapped_producer_elems);
         };
-        *counts += row_overlaps * col_overlaps;
+        *counts += self.overlaps;
         let mut blocks = 0u64;
         let mut fetched = 0u64;
         for &(r, r_mult) in &self.rows {
@@ -262,24 +271,50 @@ struct PreparedProblem<'a> {
     readers: Vec<PreparedReader>,
 }
 
+/// Summed extent of an axis's spans.
+fn span_total(spans: &[(u64, u64)]) -> u64 {
+    spans.iter().map(|&(_, len)| len).sum()
+}
+
+/// Panic unless the producer grid partitions `region`: tiles abut on
+/// both axes (`step == tile`) and their clipped spans add up to the
+/// region's extents, so every element lies in exactly one producer
+/// tile. Evaluation (redundant reads are fetched minus needed
+/// elements) and the search's lower bound both rely on it.
+fn assert_partitions(grid: &TileGrid, region: Region, rows: &[(u64, u64)], cols: &[(u64, u64)]) {
+    assert!(
+        grid.step_h == grid.tile_h
+            && grid.step_w == grid.tile_w
+            && span_total(rows) == region.h
+            && span_total(cols) == region.w,
+        "producer grid {grid:?} does not partition region {region:?}"
+    );
+}
+
 fn prepare(problem: &AssignmentProblem) -> PreparedProblem<'_> {
     let region = problem.region;
-    let span_total = |spans: &[(u64, u64)]| spans.iter().map(|&(_, len)| len).sum::<u64>();
     let extents = |spans: &[(u64, u64)]| tally(spans.iter().map(|&(_, len)| len).collect());
     let p_rows: Vec<_> = problem.producer_grid.row_spans(region).collect();
     let p_cols: Vec<_> = problem.producer_grid.col_spans(region).collect();
+    assert_partitions(&problem.producer_grid, region, &p_rows, &p_cols);
     let readers = problem
         .readers
         .iter()
         .map(|reader| {
             let rows: Vec<_> = reader.grid.row_spans(region).collect();
             let cols: Vec<_> = reader.grid.col_spans(region).collect();
+            let rows_ov = axis_overlaps(&rows, &p_rows);
+            let cols_ov = axis_overlaps(&cols, &p_cols);
+            let (row_overlaps, row_extents) = overlap_sums(&rows_ov);
+            let (col_overlaps, col_extents) = overlap_sums(&cols_ov);
             PreparedReader {
                 sweeps: reader.sweeps,
                 tiles: rows.len() as u64 * cols.len() as u64,
                 elems: span_total(&rows) * span_total(&cols),
-                rows: axis_overlaps(&rows, &p_rows),
-                cols: axis_overlaps(&cols, &p_cols),
+                overlaps: row_overlaps * col_overlaps,
+                overlapped_producer_elems: row_extents * col_extents,
+                rows: rows_ov,
+                cols: cols_ov,
             }
         })
         .collect();
@@ -293,6 +328,51 @@ fn prepare(problem: &AssignmentProblem) -> PreparedProblem<'_> {
 }
 
 impl PreparedProblem<'_> {
+    /// Producer-side hash traffic: one tag per block per write/psum
+    /// sweep, with one block per producer tile under tile-as-AuthBlock
+    /// (`None`).
+    fn producer_hash_bits(&self, assign: Option<BlockAssignment>) -> u64 {
+        let blocks = match assign {
+            None => self.producer_tiles,
+            Some(a) => {
+                let mut blocks = 0u64;
+                for &(h, h_mult) in &self.producer_rows {
+                    for &(w, w_mult) in &self.producer_cols {
+                        blocks += h_mult * w_mult * a.blocks_in(Region::new(h, w));
+                    }
+                }
+                blocks
+            }
+        };
+        blocks * u64::from(self.problem.tag_bits) * self.problem.producer_write_sweeps
+    }
+
+    /// A lower bound on the total bits of `Strategy::Assigned(a)`,
+    /// priced without a single `count_blocks`: the producer-side hash
+    /// term exactly, plus per reader `tag × sweeps × max(overlaps,
+    /// ⌈elems / u⌉)`.
+    ///
+    /// Sound because the producer grid partitions the region (asserted
+    /// in `prepare`):
+    /// - every (reader tile, producer tile) overlap holds at least one
+    ///   element, so it touches at least one block;
+    /// - an overlap of `ov` elements needs at least `⌈ov / u⌉` blocks of
+    ///   at most `u` elements each, and since the producer tiles
+    ///   partition the region a reader's overlaps sum to its `elems`,
+    ///   so `Σ ⌈ov / u⌉ ≥ ⌈elems / u⌉`;
+    /// - a reader fetches at least the elements it needs, so its
+    ///   redundant bits are at least 0; an assigned lattice has no
+    ///   rehash bits.
+    fn lower_bound(&self, a: BlockAssignment) -> u64 {
+        let tag = u64::from(self.problem.tag_bits);
+        let consumer: u64 = self
+            .readers
+            .iter()
+            .map(|r| tag * r.sweeps * r.overlaps.max(r.elems.div_ceil(a.size)))
+            .sum();
+        self.producer_hash_bits(Some(a)) + consumer
+    }
+
     /// Price `strategy`, split into the producer-side and consumer-side
     /// shares; `counts` gains the closed-form counts performed.
     fn evaluate(&self, strategy: Strategy, counts: &mut u64) -> SplitOverhead {
@@ -307,22 +387,7 @@ impl PreparedProblem<'_> {
                     Strategy::Assigned(a) => Some(a),
                     _ => None,
                 };
-                // Producer-side hash traffic: one tag per block per
-                // write/psum sweep.
-                let producer_blocks = match assign {
-                    None => self.producer_tiles,
-                    Some(a) => {
-                        let mut blocks = 0u64;
-                        for &(h, h_mult) in &self.producer_rows {
-                            for &(w, w_mult) in &self.producer_cols {
-                                blocks += h_mult * w_mult * a.blocks_in(Region::new(h, w));
-                            }
-                        }
-                        blocks
-                    }
-                };
-                out.producer.hash_bits += producer_blocks * tag * problem.producer_write_sweeps;
-
+                out.producer.hash_bits += self.producer_hash_bits(assign);
                 for reader in &self.readers {
                     let (blocks, fetched) = reader.cost(assign, counts);
                     out.consumer.hash_bits += blocks * tag * reader.sweeps;
@@ -340,7 +405,7 @@ impl PreparedProblem<'_> {
             }
             Strategy::Rehash => {
                 // Producer writes with tile-as-AuthBlock on its own grid.
-                out.producer.hash_bits += self.producer_tiles * tag * problem.producer_write_sweeps;
+                out.producer.hash_bits += self.producer_hash_bits(None);
                 // Rehash pass: read everything back (with its hashes),
                 // then write it out re-blocked per reader tile.
                 // Overlapping reader tiles duplicate their halo data on
@@ -457,9 +522,11 @@ pub fn sweep(
     curve
 }
 
-/// How many `count_blocks` evaluations `optimize` may spend per tensor.
-/// Large reader grids thin the candidate list to stay within budget
-/// (geometry-derived candidates are kept).
+/// How many tile evaluations `optimize`'s candidate list may cost per
+/// tensor, at one evaluation per reader and producer tile per candidate
+/// and orientation. Large reader grids thin the merged, sorted candidate
+/// list to every k-th entry to stay within budget; geometry-derived
+/// sizes get no special treatment and are dropped like any other.
 const OPTIMIZE_BUDGET: u64 = 200_000;
 
 /// The block sizes [`optimize`] searches in each orientation, and
@@ -479,15 +546,24 @@ pub fn optimize_sizes(problem: &AssignmentProblem) -> (Vec<u64>, bool) {
     if cands.len() <= max_cands {
         return (cands, false);
     }
-    // Keep every k-th candidate; alignment sweet spots from the
-    // geometry set remain dense at the small end where they matter.
+    // Keep every k-th entry of the sorted list, starting at the first.
     let stride = cands.len().div_ceil(max_cands);
     (cands.into_iter().step_by(stride).collect(), true)
 }
 
-/// Exhaustively search orientations × candidate sizes, compare against
-/// the tile-as-AuthBlock and rehash baselines, and return the strategy
-/// with the least total additional off-chip traffic.
+/// Search orientations × candidate sizes, compare against the
+/// tile-as-AuthBlock, rehash and (for offline-provisioned tensors)
+/// reader-aligned baselines, and return the strategy with the least
+/// total additional off-chip traffic; ties go to the first in scan
+/// order (baselines, then Horizontal sizes ascending, then Vertical).
+///
+/// The search is best-first: every candidate gets an order index (its
+/// position in scan order) and a lower bound on its total (0 for the
+/// baselines, `PreparedProblem::lower_bound` for lattices), and the
+/// candidates are priced in `(bound, index)` order until the next one's
+/// `(bound, index)` exceeds the incumbent's `(total, index)`. No
+/// candidate left unpriced can then beat or tie the incumbent, so the
+/// result is exactly the first minimum of the exhaustive scan.
 pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     OPTIMIZE_RUNS.incr();
     let mut span = telemetry::span(
@@ -496,54 +572,56 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
     )
     .with_timer(&OPTIMIZE_TIMER);
     let prepared = prepare(problem);
-    // Strategies evaluated and closed-form counts performed this run,
-    // flushed to the global counters once.
-    let mut considered = 2u64; // tile-as-AuthBlock + rehash baselines
-    let mut counts = 0u64;
-    let mut evaluate = |strategy| prepared.evaluate(strategy, &mut counts);
 
-    let mut best = AssignmentChoice {
-        strategy: Strategy::TileAsAuthBlock,
-        overhead: evaluate(Strategy::TileAsAuthBlock),
-    };
-    let rehash = evaluate(Strategy::Rehash);
-    if rehash.total().total_bits() < best.overhead.total().total_bits() {
-        best = AssignmentChoice {
-            strategy: Strategy::Rehash,
-            overhead: rehash,
-        };
-    }
+    let mut strategies = vec![Strategy::TileAsAuthBlock, Strategy::Rehash];
     if problem.producer_write_sweeps == 0 {
-        considered += 1;
-        let aligned = evaluate(Strategy::ReaderAligned);
-        if aligned.total().total_bits() < best.overhead.total().total_bits() {
-            best = AssignmentChoice {
-                strategy: Strategy::ReaderAligned,
-                overhead: aligned,
-            };
-        }
+        strategies.push(Strategy::ReaderAligned);
     }
-
-    let (cands, thinned) = optimize_sizes(problem);
+    let (sizes, thinned) = optimize_sizes(problem);
     for orientation in Orientation::ALL {
-        considered += cands.len() as u64;
-        for &size in &cands {
-            let a = BlockAssignment::new(orientation, size);
-            let o = evaluate(Strategy::Assigned(a));
-            if o.total().total_bits() < best.overhead.total().total_bits() {
-                best = AssignmentChoice {
-                    strategy: Strategy::Assigned(a),
-                    overhead: o,
-                };
-            }
+        for &size in &sizes {
+            strategies.push(Strategy::Assigned(BlockAssignment::new(orientation, size)));
         }
     }
+    let considered = strategies.len() as u64;
+    let mut order: Vec<(u64, usize, Strategy)> = strategies
+        .into_iter()
+        .enumerate()
+        .map(|(index, strategy)| {
+            let bound = match strategy {
+                Strategy::Assigned(a) => prepared.lower_bound(a),
+                _ => 0,
+            };
+            (bound, index, strategy)
+        })
+        .collect();
+    order.sort_unstable_by_key(|&(bound, index, _)| (bound, index));
+
+    // Strategies priced and closed-form counts performed this run,
+    // flushed to the global counters once.
+    let mut priced = 0u64;
+    let mut counts = 0u64;
+    let mut best: Option<((u64, usize), AssignmentChoice)> = None;
+    for (bound, index, strategy) in order {
+        if best.is_some_and(|(incumbent, _)| (bound, index) > incumbent) {
+            break;
+        }
+        priced += 1;
+        let overhead = prepared.evaluate(strategy, &mut counts);
+        let key = (overhead.total().total_bits(), index);
+        if best.is_none_or(|(incumbent, _)| key < incumbent) {
+            best = Some((key, AssignmentChoice { strategy, overhead }));
+        }
+    }
+    let (_, best) = best.expect("the baselines are always priced");
 
     CANDIDATES_CONSIDERED.add(considered);
+    CANDIDATES_PRICED.add(priced);
     CONGRUENCE_CALLS.add(counts);
     CHOSEN_REDUNDANT_BITS.add(best.overhead.total().redundant_bits);
     span.add_field("strategy", strategy_name(best.strategy));
     span.add_field("candidates", considered);
+    span.add_field("priced", priced);
     span.add_field("thinned", thinned);
     span.add_field("redundant_bits", best.overhead.total().redundant_bits);
     best
@@ -551,6 +629,9 @@ pub fn optimize(problem: &AssignmentProblem) -> AssignmentChoice {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::{prop, prop_assert, proptest, ProptestConfig};
+    use proptest::strategy::Strategy as _;
+
     use super::*;
 
     fn total(o: SplitOverhead) -> u64 {
@@ -758,6 +839,92 @@ mod tests {
                     .any(|&(u, o)| u == a.size
                         && o.total_bits() == best.overhead.total().total_bits())
             );
+        }
+    }
+
+    /// A producer grid shifted off the origin: its clipped tiles cover
+    /// only 7 of the 8 rows and columns.
+    fn shifted_producer_problem() -> AssignmentProblem {
+        let region = Region::new(8, 8);
+        AssignmentProblem {
+            region,
+            producer_grid: TileGrid::covering(region, 4, 4).with_offset(-1, -1),
+            producer_write_sweeps: 1,
+            readers: vec![AccessPattern {
+                grid: TileGrid::covering(region, 4, 4),
+                sweeps: 1,
+            }],
+            word_bits: 8,
+            tag_bits: 64,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not partition region")]
+    fn evaluation_rejects_a_producer_grid_that_does_not_partition() {
+        evaluate_assignment(&shifted_producer_problem(), Strategy::TileAsAuthBlock);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not partition region")]
+    fn optimize_rejects_a_producer_grid_that_does_not_partition() {
+        optimize(&shifted_producer_problem());
+    }
+
+    /// Problems with 1–3 halo or gapped readers at negative origins,
+    /// clipped multi-tile producer grids and 0–3 producer write sweeps.
+    fn bound_problem() -> impl proptest::strategy::Strategy<Value = AssignmentProblem> {
+        (2u64..24, 2u64..24).prop_flat_map(|(h, w)| {
+            let region = Region::new(h, w);
+            let reader = (
+                (1..=h.min(8), 1..=w.min(8)),
+                (1u64..=9, 1u64..=9),
+                (0u64..3, 0u64..3),
+                1u64..4,
+            )
+                .prop_map(
+                    move |((tile_h, tile_w), (step_h, step_w), (pad_h, pad_w), sweeps)| {
+                        AccessPattern {
+                            grid: TileGrid::covering_with_halo(
+                                region, tile_h, tile_w, step_h, step_w,
+                            )
+                            .with_offset(-(pad_h as i64), -(pad_w as i64)),
+                            sweeps,
+                        }
+                    },
+                );
+            ((1..=h, 1..=w), prop::collection::vec(reader, 1..4), 0u64..4).prop_map(
+                move |((tile_h, tile_w), readers, producer_write_sweeps)| AssignmentProblem {
+                    region,
+                    producer_grid: TileGrid::covering(region, tile_h, tile_w),
+                    producer_write_sweeps,
+                    readers,
+                    word_bits: 8,
+                    tag_bits: 64,
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn lower_bound_never_exceeds_the_priced_total(p in bound_problem()) {
+            let prepared = prepare(&p);
+            let mut counts = 0;
+            for orientation in Orientation::ALL {
+                for size in candidate_sizes(&p, size_cap(&p)) {
+                    let a = BlockAssignment::new(orientation, size);
+                    let o = prepared.evaluate(Strategy::Assigned(a), &mut counts);
+                    prop_assert!(
+                        prepared.lower_bound(a) <= o.total().total_bits(),
+                        "{} on {:?}",
+                        a,
+                        p
+                    );
+                }
+            }
         }
     }
 

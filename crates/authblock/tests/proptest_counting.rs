@@ -627,9 +627,52 @@ fn reader(h: u64, w: u64) -> impl proptest::strategy::Strategy<Value = AccessPat
         )
 }
 
-/// Whole problems: several readers, multi-tile producer grids with
-/// clipped edge tiles, and 0–3 producer write sweeps.
+/// One reader of a square plane whose windows, steps and padding are
+/// the same on both axes, so the grid is its own transpose.
+fn square_reader(n: u64) -> impl proptest::strategy::Strategy<Value = AccessPattern> {
+    (1u64..=n.min(7), 1u64..=8, 0u64..3, 1u64..4).prop_map(move |(win, step, pad, sweeps)| {
+        let region = Region::new(n, n);
+        AccessPattern {
+            grid: TileGrid::covering_with_halo(region, win, win, step, step)
+                .with_offset(-(pad as i64), -(pad as i64)),
+            sweeps,
+        }
+    })
+}
+
+/// Square problems: the plane, the producer tiles and every reader
+/// grid are symmetric under transposition, so each Horizontal lattice
+/// ties with the Vertical one of the same size and the tie rule picks.
+fn square_problem() -> impl proptest::strategy::Strategy<Value = AssignmentProblem> {
+    (3u64..20).prop_flat_map(|n| {
+        (
+            1u64..=n,
+            prop::collection::vec(square_reader(n), 1..4),
+            0u64..4,
+            prop_oneof![Just(8u32), Just(16u32)],
+        )
+            .prop_map(move |(tile, readers, producer_write_sweeps, word_bits)| {
+                let region = Region::new(n, n);
+                AssignmentProblem {
+                    region,
+                    producer_grid: TileGrid::covering(region, tile, tile),
+                    producer_write_sweeps,
+                    readers,
+                    word_bits,
+                    tag_bits: 64,
+                }
+            })
+    })
+}
+
+/// Whole problems, half rectangular and half square.
 fn whole_problem() -> impl proptest::strategy::Strategy<Value = AssignmentProblem> {
+    prop_oneof![rectangular_problem(), square_problem()]
+}
+
+/// Rectangular problems: several readers, multi-tile producer grids
+/// with clipped edge tiles, and 0–3 producer write sweeps.
+fn rectangular_problem() -> impl proptest::strategy::Strategy<Value = AssignmentProblem> {
     (3u64..20, 3u64..20).prop_flat_map(|(h, w)| {
         (
             (1u64..=h, 1u64..=w),
@@ -681,11 +724,20 @@ fn check_against_reference(p: &AssignmentProblem) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
     fn whole_problem_evaluation_matches_the_per_tile_reference(p in whole_problem()) {
         check_against_reference(&p)?;
+    }
+
+    #[test]
+    fn square_problems_tie_across_orientations(p in square_problem()) {
+        for size in [1, 2, 3, 5, p.region.w, p.region.elems()] {
+            let [h, v] = Orientation::ALL
+                .map(|o| evaluate_assignment(&p, Strategy::Assigned(BlockAssignment::new(o, size))));
+            prop_assert_eq!(h.total(), v.total(), "size {} on {:?}", size, p);
+        }
     }
 }
 

@@ -4,7 +4,11 @@
 //! disabled, cache enabled from cold (populating an on-disk cache), and
 //! cache enabled warm (from that cache, the `--resume` steady state) —
 //! and writes `BENCH_sweep.json` with wall times, mapper sample counts,
-//! and hit rates, so later PRs have a perf trajectory to defend.
+//! hit rates and the AuthBlock optimiser's work counts (optimiser runs,
+//! candidates priced, closed-form block counts), so later changes have
+//! a perf trajectory to defend. The work counts are seeded and do not
+//! depend on the worker count, so a change that loosens the optimiser's
+//! lower bound shows up in `--diff-against` without timing noise.
 //!
 //! All 18 Fig. 16 designs have pairwise-distinct search-space keys, so
 //! the cold cache-enabled pass sees no intra-sweep hits; the reuse the
@@ -19,7 +23,8 @@
 //!   --check             exit 1 unless warm speedup >= the threshold
 //!   --min-speedup <x>   threshold for --check       (default 1.3)
 //!   --diff-against <p>  exit 1 if any *deterministic* field (sample
-//!                       counts, hit/miss counts, space shape) differs
+//!                       counts, hit/miss counts, AuthBlock work counts,
+//!                       space shape) differs
 //!                       from the committed baseline; wall times are
 //!                       machine-dependent and excluded
 //! ```
@@ -104,7 +109,15 @@ fn diff_against_baseline(baseline_path: &std::path::Path, fresh: &Json) -> Resul
         check(field, &baseline[field], &fresh[field]);
     }
     for phase in ["cold_no_cache", "cold_with_cache", "warm_with_cache"] {
-        for field in ["mapper_samples", "cache_hits", "cache_misses", "hit_rate"] {
+        for field in [
+            "mapper_samples",
+            "cache_hits",
+            "cache_misses",
+            "hit_rate",
+            "optimize_runs",
+            "candidates_priced",
+            "congruence_calls",
+        ] {
             check(
                 &format!("{phase}.{field}"),
                 &baseline[phase][field],
@@ -125,6 +138,9 @@ struct Phase {
     cache_hits: u64,
     cache_misses: u64,
     hit_rate: f64,
+    optimize_runs: u64,
+    candidates_priced: u64,
+    congruence_calls: u64,
 }
 
 fn run_phase(label: &'static str, args: &Args, opts: &SweepOptions) -> (Phase, SweepRun) {
@@ -153,21 +169,28 @@ fn run_phase(label: &'static str, args: &Args, opts: &SweepOptions) -> (Phase, S
     for w in &run.warnings {
         eprintln!("warning ({label}): {w}");
     }
-    let samples = telemetry::snapshot().counter("mapper.samples_evaluated");
+    let snap = telemetry::snapshot();
     let phase = Phase {
         wall_ms,
-        mapper_samples: samples,
+        mapper_samples: snap.counter("mapper.samples_evaluated"),
         cache_hits: run.cache_hits,
         cache_misses: run.cache_misses,
         hit_rate: run.cache_hit_rate(),
+        optimize_runs: snap.counter("authblock.optimize_runs"),
+        candidates_priced: snap.counter("authblock.candidates_priced"),
+        congruence_calls: snap.counter("authblock.congruence_calls"),
     };
     println!(
-        "{label:<16} {:>9.1} ms   {:>9} samples   {:>4} hits / {:<4} misses ({:.0}% hit rate)",
+        "{label:<16} {:>9.1} ms   {:>9} samples   {:>4} hits / {:<4} misses ({:.0}% hit rate)   \
+         {} optimizer runs, {} priced, {} congruence calls",
         phase.wall_ms,
         phase.mapper_samples,
         phase.cache_hits,
         phase.cache_misses,
-        phase.hit_rate * 100.0
+        phase.hit_rate * 100.0,
+        phase.optimize_runs,
+        phase.candidates_priced,
+        phase.congruence_calls,
     );
     (phase, run)
 }
@@ -179,6 +202,9 @@ fn phase_json(p: &Phase) -> Json {
         .field("cache_hits", p.cache_hits)
         .field("cache_misses", p.cache_misses)
         .field("hit_rate", p.hit_rate)
+        .field("optimize_runs", p.optimize_runs)
+        .field("candidates_priced", p.candidates_priced)
+        .field("congruence_calls", p.congruence_calls)
 }
 
 fn main() {

@@ -304,6 +304,10 @@ pub fn telemetry_summary_json(snap: &Snapshot) -> Json {
             snap.counter("authblock.candidates_considered"),
         )
         .field(
+            "candidates_priced",
+            snap.counter("authblock.candidates_priced"),
+        )
+        .field(
             "chosen_redundant_bits",
             snap.counter("authblock.chosen_redundant_bits"),
         );
@@ -398,9 +402,10 @@ pub fn telemetry_summary_text(snap: &Snapshot) -> String {
     }
     let _ = writeln!(
         out,
-        "  authblock : {} optimizer runs, {} candidates, {} congruence calls",
+        "  authblock : {} optimizer runs, {} candidates ({} priced), {} congruence calls",
         snap.counter("authblock.optimize_runs"),
         snap.counter("authblock.candidates_considered"),
+        snap.counter("authblock.candidates_priced"),
         snap.counter("authblock.congruence_calls"),
     );
     let (proposals, prop_q) = quartiles(snap, "anneal.proposals.");

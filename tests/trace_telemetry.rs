@@ -61,12 +61,15 @@ fn schedule_trace_covers_mapper_authblock_anneal_scheduler() {
         assert!(phases.contains(phase), "missing phase {phase}: {phases:?}");
     }
     // Every optimiser span says whether the candidate budget thinned
-    // its search.
+    // its search, and prices at most the candidates it considered.
     let text = std::fs::read_to_string(&trace).expect("trace file exists");
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let v = Json::parse(line).expect("trace line parses");
         if v["phase"].as_str() == Some("authblock") && v["event"].as_str() == Some("span") {
             assert!(v["thinned"].as_bool().is_some(), "no thinned flag: {line}");
+            let priced = v["priced"].as_u64().expect("priced count");
+            let candidates = v["candidates"].as_u64().expect("candidate count");
+            assert!(priced <= candidates, "priced more than considered: {line}");
         }
     }
 
