@@ -355,10 +355,11 @@ pub fn crash_point(name: &str) {
 
 /// Deterministic I/O fault injection for the durable write path.
 ///
-/// Faults can be armed programmatically ([`fault::arm`], used by the
-/// mapper's `FaultScope` under its process-wide lock) or via
-/// `SECURELOOP_ARTIFACT_IO_FAIL=<n|all>` for subprocess tests. A finite
-/// budget models transient errors (retries eventually succeed);
+/// The switch is process-wide: a full or read-only disk is a
+/// machine-wide condition. Faults can be armed programmatically
+/// ([`fault::arm`]; in-process tests hold their own lock while armed)
+/// or via `SECURELOOP_ARTIFACT_IO_FAIL=<n|all>` for subprocess tests.
+/// A finite budget models transient errors (retries eventually succeed);
 /// [`fault::arm_all`] models a persistently full or read-only disk.
 pub mod fault {
     use std::sync::atomic::{AtomicI64, Ordering};

@@ -8,15 +8,14 @@
 //! best-seen state is kept, so fine-tuning can never end up worse than
 //! its initialisation.
 //!
-//! # Checkpoint/resume
+//! # Determinism and deadlines
 //!
-//! Each iteration draws from its own seed-derived RNG, so the chain is
-//! Markovian in `(restart, iteration, current, best)`: capturing that
-//! state ([`AnnealState`]) and resuming reproduces *exactly* the run
-//! that would have happened uninterrupted. A wall-clock
+//! Each iteration draws from its own seed-derived RNG, so a run is a
+//! pure function of its inputs and seed. A wall-clock
 //! [`AnnealingConfig::deadline`] interrupts the chain between
-//! iterations, returning the best-seen state so far plus a resumable
-//! snapshot.
+//! iterations, returning the best-seen state so far. An interrupted
+//! sweep resumes per design point (see [`crate::dse`]), never
+//! mid-anneal.
 
 use std::time::{Duration, Instant};
 
@@ -175,47 +174,6 @@ pub struct AnnealOutcome {
     pub initial_latency: u64,
 }
 
-/// Resumable annealing position: everything the chain needs to continue
-/// exactly where it stopped (the per-iteration RNG derivation makes the
-/// chain Markovian in this state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnnealState {
-    /// Restart index the chain is in.
-    pub restart: usize,
-    /// Next iteration to execute within that restart.
-    pub iteration: usize,
-    /// Current chain state (candidate index per segment layer).
-    pub current: Vec<usize>,
-    /// Best state seen within the current restart.
-    pub best: Vec<usize>,
-    /// Best state across *completed* restarts, if any.
-    pub global_best: Option<Vec<usize>>,
-}
-
-impl AnnealState {
-    /// The starting state for a segment of `len` layers.
-    pub fn fresh(len: usize) -> Self {
-        AnnealState {
-            restart: 0,
-            iteration: 0,
-            current: vec![0; len],
-            best: vec![0; len],
-            global_best: None,
-        }
-    }
-}
-
-/// One (possibly interrupted) annealing run.
-#[derive(Debug, Clone)]
-pub struct AnnealRun {
-    /// Best outcome found so far (never worse than the initial state).
-    pub outcome: AnnealOutcome,
-    /// Snapshot to resume from if `completed` is false.
-    pub state: AnnealState,
-    /// Whether every restart ran its full iteration budget.
-    pub completed: bool,
-}
-
 fn eval_choice(
     network: &Network,
     arch: &Architecture,
@@ -233,16 +191,14 @@ fn eval_choice(
 }
 
 /// Per-iteration RNG: each iteration's draws come from an independent
-/// seed-derived generator, so the chain state alone determines the
-/// remainder of the run (the property checkpoint/resume relies on).
+/// generator derived from the restart seed and the iteration index.
 fn iter_rng(seed: u64, it: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (it as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Algorithm 1: anneal the per-layer schedule choice of one segment.
 /// Runs `cfg.restarts` independent chains and keeps the best state.
-/// A configured deadline stops early with the best-so-far (use
-/// [`anneal_segment_resumable`] to also get the resumable snapshot).
+/// A configured deadline stops early with the best-so-far.
 pub fn anneal_segment(
     network: &Network,
     arch: &Architecture,
@@ -251,21 +207,6 @@ pub fn anneal_segment(
     cfg: &AnnealingConfig,
     cache: &mut OverheadCache,
 ) -> AnnealOutcome {
-    anneal_segment_resumable(network, arch, seg, candidates, cfg, cache, None).outcome
-}
-
-/// [`anneal_segment`] with explicit checkpoint/resume: pass the
-/// [`AnnealState`] of a previous interrupted run to continue exactly
-/// where it stopped.
-pub fn anneal_segment_resumable(
-    network: &Network,
-    arch: &Architecture,
-    seg: &[usize],
-    candidates: &CandidateSet,
-    cfg: &AnnealingConfig,
-    cache: &mut OverheadCache,
-    resume: Option<AnnealState>,
-) -> AnnealRun {
     let deadline = cfg.deadline.map(|d| Instant::now() + d);
     let k_of = |li: usize| candidates.per_layer[li].len().min(cfg.k).max(1);
     let restarts = cfg.restarts.max(1);
@@ -286,54 +227,26 @@ pub fn anneal_segment_resumable(
     let mut accepted = [0u64; 4];
     let mut restarts_run = 0u64;
 
-    // A stale snapshot (wrong segment length or exhausted budget) falls
-    // back to a fresh start rather than corrupting the chain.
-    let mut state = match resume {
-        Some(s)
-            if s.current.len() == seg.len()
-                && s.best.len() == seg.len()
-                && s.restart < restarts
-                && s.iteration <= cfg.iterations =>
-        {
-            s
-        }
-        _ => AnnealState::fresh(seg.len()),
-    };
-
     let initial_latency =
         eval_choice(network, arch, seg, candidates, &vec![0; seg.len()], cache).total_latency;
-    let mut global_best: Option<(Vec<usize>, SegmentEvaluation)> =
-        state.global_best.clone().map(|c| {
-            let e = eval_choice(network, arch, seg, candidates, &c, cache);
-            (c, e)
-        });
+    let mut global_best: Option<(Vec<usize>, SegmentEvaluation)> = None;
     let mut completed = true;
 
     let tunable = seg.iter().any(|&li| k_of(li) > 1);
     let cost0 = initial_latency.max(1) as f64;
 
-    'restarts: for r in state.restart..restarts {
+    'restarts: for r in 0..restarts {
         restarts_run += 1;
         let seed = cfg.seed.wrapping_add(r as u64);
-        let (start_it, mut current, mut best) = if r == state.restart {
-            (state.iteration, state.current.clone(), state.best.clone())
-        } else {
-            (0, vec![0; seg.len()], vec![0; seg.len()])
-        };
+        let mut current = vec![0; seg.len()];
+        let mut best = vec![0; seg.len()];
         let mut current_eval = eval_choice(network, arch, seg, candidates, &current, cache);
         let mut best_eval = eval_choice(network, arch, seg, candidates, &best, cache);
 
         if tunable {
-            for it in start_it..cfg.iterations {
+            for it in 0..cfg.iterations {
                 if let Some(dl) = deadline {
                     if Instant::now() >= dl {
-                        state = AnnealState {
-                            restart: r,
-                            iteration: it,
-                            current,
-                            best: best.clone(),
-                            global_best: global_best.as_ref().map(|(c, _)| c.clone()),
-                        };
                         // Count the interrupted restart's best so the
                         // outcome reflects everything seen so far.
                         let better = global_best
@@ -388,16 +301,6 @@ pub fn anneal_segment_resumable(
         }
     }
 
-    if completed {
-        state = AnnealState {
-            restart: restarts,
-            iteration: cfg.iterations,
-            current: vec![0; seg.len()],
-            best: vec![0; seg.len()],
-            global_best: global_best.as_ref().map(|(c, _)| c.clone()),
-        };
-    }
-
     for q in 0..4 {
         PROPOSALS_BY_QUARTILE[q].add(proposals[q]);
         ACCEPTED_BY_QUARTILE[q].add(accepted[q]);
@@ -411,14 +314,10 @@ pub fn anneal_segment_resumable(
     span.add_field("completed", completed);
     span.add_field("initial_latency", initial_latency);
     span.add_field("final_latency", eval.total_latency);
-    AnnealRun {
-        outcome: AnnealOutcome {
-            choice,
-            eval,
-            initial_latency,
-        },
-        state,
-        completed,
+    AnnealOutcome {
+        choice,
+        eval,
+        initial_latency,
     }
 }
 
@@ -522,70 +421,23 @@ mod tests {
     }
 
     #[test]
-    fn resume_reproduces_the_uninterrupted_run() {
-        // The chain is Markovian in AnnealState: interrupting at any
-        // iteration and resuming must land on the exact same answer as
-        // running straight through.
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cfg = AnnealingConfig::quick().with_iterations(80).with_seed(11);
-        let mut c1 = OverheadCache::new();
-        let full = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c1);
-
-        let mut c2 = OverheadCache::new();
-        let mut run = anneal_segment_resumable(
-            &net,
-            &arch,
-            seg,
-            &cands,
-            &cfg.with_deadline(Duration::from_micros(200)),
-            &mut c2,
-            None,
-        );
-        let mut resumes = 0;
-        while !run.completed {
-            resumes += 1;
-            assert!(resumes < 1000, "resume loop must terminate");
-            run =
-                anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &mut c2, Some(run.state));
-        }
-        assert_eq!(run.outcome.choice, full.choice);
-        assert_eq!(run.outcome.eval.total_latency, full.eval.total_latency);
-    }
-
-    #[test]
     fn zero_deadline_keeps_the_initial_floor() {
         let (net, arch, cands) = setup();
         let seg = &net.segments()[2].layers;
         let mut cache = OverheadCache::new();
-        let run = anneal_segment_resumable(
+        let out = anneal_segment(
             &net,
             &arch,
             seg,
             &cands,
             &AnnealingConfig::quick().with_deadline(Duration::ZERO),
             &mut cache,
-            None,
         );
-        assert!(!run.completed);
-        assert!(run.outcome.eval.total_latency <= run.outcome.initial_latency);
-        assert_eq!(run.state.restart, 0);
-        assert_eq!(run.state.iteration, 0);
-    }
-
-    #[test]
-    fn stale_snapshot_falls_back_to_fresh() {
-        let (net, arch, cands) = setup();
-        let seg = &net.segments()[2].layers;
-        let cfg = AnnealingConfig::quick();
-        let mut c1 = OverheadCache::new();
-        let clean = anneal_segment(&net, &arch, seg, &cands, &cfg, &mut c1);
-        // A snapshot from a different (wrong-length) segment is ignored.
-        let stale = AnnealState::fresh(seg.len() + 3);
-        let mut c2 = OverheadCache::new();
-        let run = anneal_segment_resumable(&net, &arch, seg, &cands, &cfg, &mut c2, Some(stale));
-        assert!(run.completed);
-        assert_eq!(run.outcome.choice, clean.choice);
+        assert!(out.eval.total_latency <= out.initial_latency);
+        assert!(
+            out.choice.iter().all(|&c| c == 0),
+            "no iteration ran: the initial all-best state stands"
+        );
     }
 
     #[test]

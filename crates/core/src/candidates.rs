@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use secureloop_arch::Architecture;
 use secureloop_loopnest::{Evaluation, Mapping};
 use secureloop_mapper::{
-    fault, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
+    cancel, search_cached, CandidateCache, MapperError, SearchConfig, SearchTier,
 };
 use secureloop_workload::{ConvLayer, Network};
 
@@ -132,10 +132,10 @@ pub fn find_candidates_cached(
     cache: Option<&CandidateCache>,
 ) -> CandidateSet {
     // Fault plans key on layer names; the shape cache would smear one
-    // layer's injected fault over every layer of the same shape.
-    // (`search_cached` independently bypasses the cross-design cache
-    // for the same reason.)
-    let use_shape_dedup = !fault::armed();
+    // layer's injected fault over every layer of the same shape. Only
+    // this task's plan counts. (`search_cached` independently bypasses
+    // the cross-design cache for the same reason.)
+    let use_shape_dedup = cancel::current_context().fault.is_none();
     let mut by_shape: HashMap<_, LayerCandidates> = HashMap::new();
     let per_layer = network
         .layers()

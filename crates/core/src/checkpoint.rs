@@ -6,13 +6,10 @@
 //! serialises finished work to disk so a re-invocation picks up where
 //! the previous run stopped:
 //!
-//! * [`SweepCheckpoint`] — finished design points of a DSE sweep, keyed
-//!   by design label, written atomically (temp file + rename) after
-//!   every design point.
-//! * [`AnnealState`] round-trips ([`anneal_state_to_json`] /
-//!   [`anneal_state_from_json`]) — the Markovian simulated-annealing
-//!   snapshot, resumable via
-//!   [`crate::annealing::anneal_segment_resumable`].
+//! [`SweepCheckpoint`] holds the finished design points of a DSE sweep,
+//! keyed by design label, written atomically (temp file + rename) after
+//! every design point. Resumption is per design point: an interrupted
+//! design point re-runs from scratch.
 //!
 //! Everything uses the dependency-free [`secureloop_json`] crate; a
 //! corrupted or mismatched checkpoint surfaces as
@@ -28,7 +25,6 @@ use secureloop_json::Json;
 use secureloop_loopnest::{CompactMapping, EnergyBreakdown};
 use secureloop_telemetry::Timer;
 
-use crate::annealing::AnnealState;
 use crate::error::SecureLoopError;
 use crate::scheduler::{Algorithm, LayerOutcome, LayerResult, NetworkSchedule};
 
@@ -61,53 +57,6 @@ fn req_u64(v: &Json, field: &str) -> Result<u64, String> {
 
 fn req_f64(v: &Json, field: &str) -> Result<f64, String> {
     v[field].as_f64().ok_or_else(|| field_err(field))
-}
-
-fn req_usize(v: &Json, field: &str) -> Result<usize, String> {
-    v[field].as_usize().ok_or_else(|| field_err(field))
-}
-
-fn usize_array(v: &Json, field: &str) -> Result<Vec<usize>, String> {
-    v[field]
-        .as_array()
-        .ok_or_else(|| field_err(field))?
-        .iter()
-        .map(|x| x.as_usize().ok_or_else(|| field_err(field)))
-        .collect()
-}
-
-/// Serialise an [`AnnealState`] snapshot.
-pub fn anneal_state_to_json(s: &AnnealState) -> Json {
-    let global = match &s.global_best {
-        Some(c) => Json::Arr(c.iter().map(|&x| Json::from(x)).collect()),
-        None => Json::Null,
-    };
-    Json::obj()
-        .field("restart", s.restart)
-        .field("iteration", s.iteration)
-        .field("current", s.current.clone())
-        .field("best", s.best.clone())
-        .field("global_best", global)
-}
-
-/// Parse an [`AnnealState`] snapshot.
-///
-/// # Errors
-///
-/// Names the missing or ill-typed field.
-pub fn anneal_state_from_json(v: &Json) -> Result<AnnealState, String> {
-    let global_best = if v["global_best"].is_null() {
-        None
-    } else {
-        Some(usize_array(v, "global_best")?)
-    };
-    Ok(AnnealState {
-        restart: req_usize(v, "restart")?,
-        iteration: req_usize(v, "iteration")?,
-        current: usize_array(v, "current")?,
-        best: usize_array(v, "best")?,
-        global_best,
-    })
 }
 
 fn outcome_to_json(name: &str, outcome: &LayerOutcome) -> Json {
@@ -591,22 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn anneal_state_round_trips() {
-        let s = AnnealState {
-            restart: 2,
-            iteration: 417,
-            current: vec![1, 0, 3],
-            best: vec![0, 0, 2],
-            global_best: Some(vec![0, 1, 2]),
-        };
-        let back = anneal_state_from_json(&anneal_state_to_json(&s)).unwrap();
-        assert_eq!(back, s);
-        let fresh = AnnealState::fresh(4);
-        let back = anneal_state_from_json(&anneal_state_to_json(&fresh)).unwrap();
-        assert_eq!(back, fresh);
-    }
-
-    #[test]
     fn sweep_checkpoint_saves_and_loads_atomically() {
         let dir = std::env::temp_dir().join("secureloop-ckpt-test");
         fs::create_dir_all(&dir).unwrap();
@@ -791,9 +724,12 @@ mod tests {
 
     #[test]
     fn malformed_fields_are_named() {
-        let v =
-            Json::parse(r#"{"restart": 1, "iteration": "x", "current": [], "best": []}"#).unwrap();
-        let err = anneal_state_from_json(&v).unwrap_err();
-        assert!(err.contains("iteration"), "{err}");
+        let v = Json::parse(
+            r#"{"algorithm": "Crypt-Opt-Cross", "layers": [], "outcomes": [],
+                "network": "n", "arch_summary": "a", "total_latency_cycles": "x"}"#,
+        )
+        .unwrap();
+        let err = schedule_from_json(&v).unwrap_err();
+        assert!(err.contains("total_latency_cycles"), "{err}");
     }
 }

@@ -16,10 +16,11 @@
 //! quarantined in the checkpoint (so `--resume` skips it instead of
 //! re-crashing), and the other design points are unaffected — their
 //! results are byte-identical to a fault-free run. A process-wide
-//! shutdown request (see [`crate::shutdown`]) stops workers between
-//! design points; the partial [`SweepRun`] comes back with
-//! [`SweepRun::interrupted`] set after the checkpoint and candidate
-//! cache have been flushed, so the run is resumable.
+//! shutdown request (see [`crate::shutdown`]), or a tripped job token
+//! in the caller's task context (a service client cancelling its job),
+//! stops workers between design points; the partial [`SweepRun`] comes
+//! back with [`SweepRun::interrupted`] set after the checkpoint and
+//! candidate cache have been flushed, so the run is resumable.
 //!
 //! # Incremental evaluation
 //!
@@ -34,7 +35,7 @@
 //! atomic queue, and results merge in design order, so the [`SweepRun`]
 //! is byte-identical for any worker count and any cache state.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -42,7 +43,7 @@ use secureloop_arch::{Architecture, DramSpec};
 use secureloop_artifact::DurabilityPolicy;
 use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
 use secureloop_energy::AreaModel;
-use secureloop_mapper::{cancel, CancelToken, CandidateCache, SearchConfig};
+use secureloop_mapper::{cancel, CandidateCache, SearchConfig, TaskScope};
 use secureloop_telemetry::{self as telemetry, Counter, Timer};
 use secureloop_workload::Network;
 
@@ -242,12 +243,6 @@ pub struct SweepOptions {
     /// [`SweepRun::cache_hits`]/[`SweepRun::cache_misses`] report this
     /// invocation's delta (approximate when jobs share concurrently).
     pub shared_cache: Option<Arc<CandidateCache>>,
-    /// Job-level cancellation: when this token trips, workers stop
-    /// picking up design points and in-flight searches exit at their
-    /// next chunk boundary, exactly like a process-wide shutdown but
-    /// scoped to this sweep. The run comes back
-    /// [`SweepRun::interrupted`].
-    pub cancel: Option<CancelToken>,
     /// How hard checkpoint/cache writes try to make it to disk (fsync,
     /// retries, backoff). When retries are exhausted the sweep keeps
     /// computing in degraded in-memory mode instead of aborting — see
@@ -321,12 +316,6 @@ impl SweepOptions {
         self
     }
 
-    /// Attach a job-level cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Replace the durability policy for checkpoint/cache writes.
     pub fn with_durability(mut self, durability: DurabilityPolicy) -> Self {
         self.durability = durability;
@@ -348,9 +337,9 @@ impl SweepOptions {
     }
 }
 
-/// Evaluate a set of designs on one workload. Design points that fail
-/// entirely are skipped (see [`SweepRun::skipped`] via
-/// [`evaluate_designs_resumable`] for the full accounting).
+/// Evaluate a set of designs on one workload: sequentially, without a
+/// candidate cache or checkpoint. Design points that fail entirely are
+/// skipped (see [`evaluate_designs_sweep`] for the full accounting).
 pub fn evaluate_designs(
     network: &Network,
     designs: &[Architecture],
@@ -358,44 +347,10 @@ pub fn evaluate_designs(
     search: &SearchConfig,
     annealing: &AnnealingConfig,
 ) -> Vec<DseResult> {
-    evaluate_designs_resumable(network, designs, algorithm, search, annealing, None, false)
+    let opts = SweepOptions::default();
+    evaluate_designs_sweep(network, designs, algorithm, search, annealing, &opts)
         .map(|run| run.results)
         .unwrap_or_default()
-}
-
-/// [`evaluate_designs`] with checkpoint/resume.
-///
-/// With `checkpoint_path` set, every finished design point is written
-/// (atomically) to that file; with `resume` also set, design points
-/// already present in a matching checkpoint are restored instead of
-/// re-evaluated. A checkpoint written for a different workload or
-/// algorithm is ignored, not trusted.
-///
-/// # Errors
-///
-/// [`SecureLoopError::Checkpoint`] when `resume` is set but the
-/// checkpoint file exists and cannot be read or parsed, or when a
-/// checkpoint write fails. Individual design-point failures do *not*
-/// error — they land in [`SweepRun::skipped`].
-pub fn evaluate_designs_resumable(
-    network: &Network,
-    designs: &[Architecture],
-    algorithm: Algorithm,
-    search: &SearchConfig,
-    annealing: &AnnealingConfig,
-    checkpoint_path: Option<&Path>,
-    resume: bool,
-) -> Result<SweepRun, SecureLoopError> {
-    // Legacy entry point: sequential and cache-less, exactly the
-    // pre-incremental behaviour (no sibling cache file appears next to
-    // the caller's checkpoint).
-    let opts = SweepOptions {
-        checkpoint_path: checkpoint_path.map(Path::to_path_buf),
-        resume,
-        workers: 1,
-        ..SweepOptions::default()
-    };
-    evaluate_designs_sweep(network, designs, algorithm, search, annealing, &opts)
 }
 
 /// How one design point resolved within a sweep.
@@ -418,8 +373,14 @@ pub enum DesignOutcome {
     },
 }
 
-/// The incremental DSE engine: [`evaluate_designs_resumable`] plus a
-/// cross-design candidate cache and a worker pool.
+/// The incremental DSE engine: a worker pool sharing a cross-design
+/// candidate cache, with checkpoint/resume.
+///
+/// With [`SweepOptions::checkpoint_path`] set, every finished design
+/// point is written to that file; with [`SweepOptions::resume`] also
+/// set, design points already present in a matching checkpoint are
+/// restored instead of re-evaluated. A checkpoint written for a
+/// different workload or algorithm is ignored, not trusted.
 ///
 /// Design points are assigned fixed result slots up front; workers pull
 /// indices from an atomic queue and the finished slots merge in design
@@ -606,12 +567,7 @@ pub fn evaluate_designs_sweep(
                 scheduler.schedule(&network, algorithm)
             }
         };
-        match supervisor::run_supervised_cancellable(
-            &label,
-            &opts.supervisor,
-            opts.cancel.as_ref(),
-            task,
-        ) {
+        match supervisor::run_supervised(&label, &opts.supervisor, task) {
             SupervisedOutcome::Completed { value: s, attempts } => {
                 DESIGNS_EVALUATED.incr();
                 span.add_field("outcome", "evaluated");
@@ -658,15 +614,17 @@ pub fn evaluate_designs_sweep(
             }
         }
     };
-    let sweep_cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-    // Worker threads re-enter the caller's telemetry job scope so a
-    // service job's design-point events stay attributed to it.
+    // Worker threads re-enter the caller's telemetry job scope and task
+    // context, so a service job's design-point events stay attributed
+    // to it and its cancel token and fault plan reach every worker.
     let job_scope = telemetry::current_scope();
+    let caller = cancel::current_context();
     let worker_loop = || -> Vec<(usize, Option<DesignOutcome>)> {
         let _scope = job_scope.clone().map(telemetry::enter_scope);
+        let _task = TaskScope::enter(caller.clone());
         let mut out = Vec::new();
         loop {
-            if cancel::shutdown_requested() || sweep_cancelled() {
+            if cancel::cancelled(&caller) {
                 break;
             }
             let k = next.fetch_add(1, Ordering::Relaxed);
@@ -710,7 +668,7 @@ pub fn evaluate_designs_sweep(
     // Merge in design order — the determinism contract. An unfilled
     // slot means a shutdown request stopped the sweep early: the run
     // is reported interrupted (and resumable), never half-merged.
-    let mut interrupted = cancel::shutdown_requested() || sweep_cancelled();
+    let mut interrupted = cancel::cancelled(&caller);
     for (arch, slot) in designs.iter().zip(slots) {
         match slot {
             Some(DesignOutcome::Evaluated(schedule)) => run.results.push(DseResult {
@@ -833,34 +791,31 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.json");
         let _ = std::fs::remove_file(&path);
+        let sweep = |network: &Network, designs: &[Architecture], resume: bool| {
+            let opts = SweepOptions::new()
+                .with_cache(false)
+                .with_checkpoint(&path)
+                .with_resume(resume);
+            evaluate_designs_sweep(
+                network,
+                designs,
+                Algorithm::CryptOptSingle,
+                &SearchConfig::quick(),
+                &AnnealingConfig::quick(),
+                &opts,
+            )
+            .unwrap()
+        };
 
         // "Interrupted" run: only the first two design points finish.
-        let partial = evaluate_designs_resumable(
-            &net,
-            &designs[..2],
-            Algorithm::CryptOptSingle,
-            &SearchConfig::quick(),
-            &AnnealingConfig::quick(),
-            Some(&path),
-            false,
-        )
-        .unwrap();
+        let partial = sweep(&net, &designs[..2], false);
         assert_eq!(partial.evaluated, 2);
         assert_eq!(partial.reused, 0);
         assert!(path.exists());
 
         // Re-invocation with --resume semantics: finished points are
         // restored, only the remaining one runs.
-        let resumed = evaluate_designs_resumable(
-            &net,
-            &designs,
-            Algorithm::CryptOptSingle,
-            &SearchConfig::quick(),
-            &AnnealingConfig::quick(),
-            Some(&path),
-            true,
-        )
-        .unwrap();
+        let resumed = sweep(&net, &designs, true);
         assert_eq!(resumed.reused, 2);
         assert_eq!(resumed.evaluated, 1);
         assert_eq!(resumed.results.len(), 3);
@@ -875,16 +830,7 @@ mod tests {
 
         // A checkpoint for a different workload is ignored, not trusted.
         let other = zoo::resnet18();
-        let fresh = evaluate_designs_resumable(
-            &other,
-            &designs[..1],
-            Algorithm::CryptOptSingle,
-            &SearchConfig::quick(),
-            &AnnealingConfig::quick(),
-            Some(&path),
-            true,
-        )
-        .unwrap();
+        let fresh = sweep(&other, &designs[..1], true);
         assert_eq!(fresh.reused, 0);
         assert_eq!(fresh.evaluated, 1);
         let _ = std::fs::remove_file(&path);

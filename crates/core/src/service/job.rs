@@ -21,23 +21,23 @@ pub fn valid_job_id(id: &str) -> bool {
 }
 
 /// An injected fault a test client attaches to its job (a chaos hook:
-/// the soak suite uses it to plan poison jobs). Scoped to one
-/// architecture so it cannot leak into other tenants' searches.
+/// the soak suite uses it to plan poison jobs). The fault is armed in
+/// the job's own task context, so it never reaches another job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     /// `fail` | `nan` | `panic` | `stall` | `io_error`.
     pub kind: String,
     /// Layers the fault applies to.
     pub layers: Vec<String>,
-    /// Design label the fault is scoped to (required: an unscoped
-    /// fault would sabotage other tenants running the same layers).
+    /// Design label the fault is scoped to: it picks which of the job's
+    /// design points to sabotage (required).
     pub arch: String,
     /// Stall duration in milliseconds (`stall` only).
     pub stall_ms: u64,
 }
 
 impl FaultSpec {
-    /// Build the mapper-level [`FaultPlan`], always arch-scoped.
+    /// Build the mapper-level [`FaultPlan`], scoped to [`FaultSpec::arch`].
     ///
     /// # Errors
     ///
@@ -89,7 +89,7 @@ impl FaultSpec {
             .collect::<Result<Vec<_>, _>>()?;
         let arch = v["arch"]
             .as_str()
-            .ok_or("fault needs an 'arch' design label (unscoped faults would hit other tenants)")?
+            .ok_or("fault needs an 'arch' label naming the job's design to sabotage")?
             .to_string();
         let stall_ms = v["stall_ms"].as_u64().unwrap_or(50);
         let spec = FaultSpec {

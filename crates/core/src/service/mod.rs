@@ -16,10 +16,11 @@
 //!   whose sample, design-count, or deadline budgets exceed the
 //!   server's caps before they consume a queue slot.
 //! * **Per-job supervision and isolation** — every design point runs
-//!   under [`crate::supervisor::run_supervised_cancellable`]; one
+//!   under [`crate::supervisor::run_supervised`], inside the job's own
+//!   task context (its cancel token and any chaos fault plan); one
 //!   tenant's panicking or stalling design is quarantined (reported
 //!   `poisoned` with its cause) without disturbing other tenants, whose
-//!   results stay byte-identical to running alone.
+//!   results stay byte-identical to running alone, even concurrently.
 //! * **Crash-safe lifecycle** — the `Queued → Running →
 //!   Completed/Failed/Poisoned/Cancelled` state machine (plus the
 //!   out-of-band `Shed`) is journalled to `<state_dir>/service.json`

@@ -26,7 +26,9 @@ use std::time::Duration;
 use secureloop_artifact::DurabilityPolicy;
 
 use secureloop_json::Json;
-use secureloop_mapper::{cancel, CancelToken, CandidateCache, FaultScope, SearchMode};
+use secureloop_mapper::{
+    cancel, CancelToken, CandidateCache, FaultScope, SearchMode, TaskContext, TaskScope,
+};
 use secureloop_telemetry::{self as telemetry, Sink};
 
 use crate::cli::RunStatus;
@@ -703,13 +705,19 @@ impl Server {
             .with_workers(self.cfg.job_workers)
             .with_supervisor(self.cfg.supervisor)
             .with_shared_cache(Arc::clone(&self.cache))
-            .with_cancel(token.clone())
             .with_durability(self.cfg.durability);
 
-        // Chaos hook: a planned fault stays scoped to this job's
-        // designated architecture; while armed, other jobs bypass the
-        // cache (results unchanged) rather than risk poisoned entries.
-        let armed = match spec.fault.as_ref().map(|f| f.to_plan()) {
+        // The job's task context, entered on this job thread and
+        // re-entered by the sweep's workers and watchdogs, carries its
+        // cancel token and — chaos hook — its planned fault. Neither
+        // reaches another job: a chaos job bypasses the shared cache
+        // (so it cannot poison entries), while its neighbours keep
+        // using it.
+        let _task = TaskScope::enter(TaskContext {
+            job_token: Some(token.clone()),
+            ..cancel::current_context()
+        });
+        let _armed = match spec.fault.as_ref().map(|f| f.to_plan()) {
             None => None,
             Some(Ok(plan)) => Some(FaultScope::inject(plan)),
             Some(Err(e)) => return fail(e),
@@ -725,7 +733,6 @@ impl Server {
             &spec.run.annealing(&Defaults::SWEEP),
             &opts,
         );
-        drop(armed);
 
         let sweep = match outcome {
             Ok(sweep) => sweep,

@@ -24,8 +24,13 @@
 //!   or timeout cause, distinct from an ordinary typed-error
 //!   [`SupervisedOutcome::Failed`];
 //! * **cancellation** — a process-wide shutdown request (see
-//!   [`crate::shutdown`]) short-circuits to
-//!   [`SupervisedOutcome::Cancelled`] without burning retries.
+//!   [`crate::shutdown`]) or a tripped job token in the caller's task
+//!   context short-circuits to [`SupervisedOutcome::Cancelled`] without
+//!   burning retries.
+//!
+//! Each attempt runs under a [`TaskContext`] built from the caller's
+//! (job token, armed fault plan) plus its own watchdog token and cache
+//! bypass flag, on whichever thread runs it.
 //!
 //! Everything is observable through `secureloop-telemetry`: a
 //! `supervisor` span per task plus the `supervisor.retries`,
@@ -149,7 +154,7 @@ fn is_cancelled_error(e: &SecureLoopError) -> bool {
 fn run_attempt<T, F>(
     timeout: Option<Duration>,
     bypass_cache: bool,
-    job_token: Option<&CancelToken>,
+    caller: &TaskContext,
     task: F,
 ) -> Result<T, AttemptError>
 where
@@ -159,8 +164,8 @@ where
     let token = CancelToken::new();
     let ctx = TaskContext {
         token: Some(token.clone()),
-        job_token: job_token.cloned(),
         bypass_cache,
+        ..caller.clone()
     };
     match timeout {
         None => {
@@ -178,7 +183,8 @@ where
             // is left to unwind on its own — never joined, because a
             // stalled task is exactly what we must not wait for.
             // The caller's telemetry job scope is re-entered on the
-            // attempt thread so the task's events stay attributed.
+            // attempt thread so the task's events stay attributed, and
+            // `ctx` carries the caller's job token and fault plan.
             let scope = telemetry::current_scope();
             let (tx, rx) = mpsc::channel();
             let handle = thread::spawn(move || {
@@ -211,37 +217,20 @@ where
 /// `task` must be `Clone` because each retry needs a fresh callable,
 /// and `'static + Send` because a watchdogged attempt runs on its own
 /// thread. Design-point tasks clone their (cheap, `Arc`-heavy) inputs
-/// up front.
+/// up front. A service job's token in the caller's task context stops
+/// the task like a process-wide shutdown, but only for that job.
 pub fn run_supervised<T, F>(label: &str, cfg: &SupervisorConfig, task: F) -> SupervisedOutcome<T>
 where
     T: Send + 'static,
     F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
 {
-    run_supervised_cancellable(label, cfg, None, task)
-}
-
-/// [`run_supervised`] with an additional job-level [`CancelToken`]:
-/// when the token trips — a service client cancelled its job — the task
-/// resolves [`SupervisedOutcome::Cancelled`] at the next chunk boundary
-/// without burning retries, exactly like a process-wide shutdown, but
-/// scoped to this one job.
-pub fn run_supervised_cancellable<T, F>(
-    label: &str,
-    cfg: &SupervisorConfig,
-    job_token: Option<&CancelToken>,
-    task: F,
-) -> SupervisedOutcome<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> Result<T, SecureLoopError> + Clone + Send + 'static,
-{
     let mut span = telemetry::span("supervisor", label.to_string()).with_timer(&TASK_TIMER);
-    let job_cancelled = || job_token.is_some_and(CancelToken::is_cancelled);
+    let caller = cancel::current_context();
     let total_attempts = cfg.max_retries.saturating_add(1);
     let mut last: Option<AttemptError> = None;
     let mut attempts = 0u32;
     for attempt in 0..total_attempts {
-        if cancel::shutdown_requested() || job_cancelled() {
+        if cancel::cancelled(&caller) {
             CANCELLED.incr();
             span.add_field("outcome", "cancelled");
             return SupervisedOutcome::Cancelled;
@@ -257,14 +246,14 @@ where
             Some(AttemptError::Panic(_)) | Some(AttemptError::Timeout(_))
         );
         attempts = attempt + 1;
-        match run_attempt(cfg.task_timeout, bypass_cache, job_token, task.clone()) {
+        match run_attempt(cfg.task_timeout, bypass_cache, &caller, task.clone()) {
             Ok(value) => {
                 span.add_field("outcome", "completed");
                 span.add_field("attempts", u64::from(attempts));
                 return SupervisedOutcome::Completed { value, attempts };
             }
             Err(AttemptError::Engine(e))
-                if is_cancelled_error(&e) || cancel::shutdown_requested() || job_cancelled() =>
+                if is_cancelled_error(&e) || cancel::cancelled(&caller) =>
             {
                 CANCELLED.incr();
                 span.add_field("outcome", "cancelled");
@@ -424,15 +413,14 @@ mod tests {
         token.cancel();
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let out = run_supervised_cancellable(
-            "t",
-            &quick().with_max_retries(5),
-            Some(&token),
-            move || {
-                c.fetch_add(1, Ordering::SeqCst);
-                Ok::<_, SecureLoopError>(1)
-            },
-        );
+        let _job = TaskScope::enter(TaskContext {
+            job_token: Some(token.clone()),
+            ..TaskContext::default()
+        });
+        let out = run_supervised("t", &quick().with_max_retries(5), move || {
+            c.fetch_add(1, Ordering::SeqCst);
+            Ok::<_, SecureLoopError>(1)
+        });
         assert!(matches!(out, SupervisedOutcome::Cancelled));
         assert_eq!(calls.load(Ordering::SeqCst), 0, "no attempt runs");
     }
@@ -440,15 +428,14 @@ mod tests {
     #[test]
     fn job_token_reaches_the_task_context() {
         let token = CancelToken::new();
-        let out = run_supervised_cancellable(
-            "t",
-            &quick().with_max_retries(0),
-            Some(&token),
-            move || {
-                let ctx = cancel::current_context();
-                Ok::<_, SecureLoopError>(ctx.job_token.is_some())
-            },
-        );
+        let _job = TaskScope::enter(TaskContext {
+            job_token: Some(token.clone()),
+            ..TaskContext::default()
+        });
+        let out = run_supervised("t", &quick().with_max_retries(0), move || {
+            let ctx = cancel::current_context();
+            Ok::<_, SecureLoopError>(ctx.job_token.is_some())
+        });
         match out {
             SupervisedOutcome::Completed { value, .. } => {
                 assert!(value, "task sees its job token");

@@ -13,23 +13,25 @@
 //!
 //! The subprocess tests drive the real binary through the
 //! `SECURELOOP_CRASH_POINT` / `SECURELOOP_ARTIFACT_IO_FAIL` hooks; the
-//! in-process tests use [`FaultScope`] for the deterministic
-//! transient-vs-persistent retry behaviour. `scripts/crash_soak.sh`
-//! extends the same checks to randomized SIGKILLs of `secureloop
-//! serve`.
+//! in-process tests arm the same switch through
+//! `secureloop_artifact::fault` (see [`ArtifactFaults`]) for the
+//! deterministic transient-vs-persistent retry behaviour.
+//! `scripts/crash_soak.sh` extends the same checks to randomized
+//! SIGKILLs of `secureloop serve`.
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use secureloop::artifact::DurabilityPolicy;
+use secureloop::artifact::{fault, DurabilityPolicy};
 use secureloop::checkpoint::SweepCheckpoint;
 use secureloop::dse::{evaluate_designs_sweep, SweepOptions, SweepRun};
 use secureloop::{Algorithm, AnnealingConfig};
 use secureloop_arch::Architecture;
 use secureloop_crypto::{CryptoConfig, EngineClass};
 use secureloop_json::Json;
-use secureloop_mapper::{FaultPlan, FaultScope, SearchConfig};
+use secureloop_mapper::SearchConfig;
 use secureloop_workload::zoo;
 
 fn bin() -> Command {
@@ -179,6 +181,30 @@ fn designs(n: usize) -> Vec<Architecture> {
         .collect()
 }
 
+/// The artifact write-fault switch is process-wide — a full disk is a
+/// machine-wide condition — so the in-process tests that arm it hold
+/// this lock, and the guard disarms the switch on drop, even when an
+/// assertion fails.
+static ARTIFACT_FAULTS: Mutex<()> = Mutex::new(());
+
+struct ArtifactFaults {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl ArtifactFaults {
+    fn arm(arm: impl FnOnce()) -> ArtifactFaults {
+        let serial = ARTIFACT_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+        arm();
+        ArtifactFaults { _serial: serial }
+    }
+}
+
+impl Drop for ArtifactFaults {
+    fn drop(&mut self) {
+        fault::disarm();
+    }
+}
+
 fn sweep(designs: &[Architecture], opts: &SweepOptions) -> SweepRun {
     evaluate_designs_sweep(
         &zoo::mlp(2, 64),
@@ -199,7 +225,7 @@ fn transient_write_failures_are_outlasted_by_retries() {
 
     // Two injected failures against a three-retry budget: the first
     // checkpoint write fails twice, then sticks. Nothing degrades.
-    let _scope = FaultScope::inject(FaultPlan::artifact_io(2));
+    let _faults = ArtifactFaults::arm(|| fault::arm(2));
     let run = sweep(
         &designs(2),
         &SweepOptions::new()
@@ -223,7 +249,7 @@ fn exhausted_retries_degrade_in_memory_and_keep_computing() {
     let ckpt = dir.join("exhausted.ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
 
-    let _scope = FaultScope::inject(FaultPlan::artifact_io(FaultPlan::ARTIFACT_IO_ALL));
+    let _faults = ArtifactFaults::arm(fault::arm_all);
     let run = sweep(
         &designs(2),
         &SweepOptions::new()

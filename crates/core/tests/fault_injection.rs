@@ -3,10 +3,9 @@
 //! schedules instead of panics, typed errors instead of hangs, and
 //! checkpoints that survive an interrupted sweep.
 //!
-//! A fault plan is process-global, so every test that arms one lives
-//! here, where every test holds a `FaultScope` and they run one at a
-//! time; in the library's unit-test binary an armed plan would fail
-//! layers of unrelated tests running beside it.
+//! A `FaultScope` arms its plan in the calling thread's task context
+//! only, so these tests run in parallel with each other and with
+//! unscoped tests that search the same layers.
 
 use std::time::Duration;
 
@@ -82,7 +81,6 @@ fn zero_bandwidth_engine_is_a_typed_error_not_a_panic() {
     // A crypto configuration with zero engines has zero authenticated
     // bandwidth: every candidate saturates and is rejected, so the
     // schedule fails as a whole — with an error, not a crash.
-    let _scope = FaultScope::inject(FaultPlan::default());
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 0));
     let err = Scheduler::new(arch)
@@ -98,7 +96,6 @@ fn expired_deadline_degrades_instead_of_hanging() {
     // A zero wall-clock budget forces the sampler to give up
     // immediately; the greedy floor must still produce a full schedule,
     // flagged as degraded rather than silently passed off as optimal.
-    let _scope = FaultScope::inject(FaultPlan::default());
     let arch =
         Architecture::eyeriss_base().with_crypto(CryptoConfig::new(EngineClass::Parallel, 3));
     let s = Scheduler::new(arch)
@@ -125,7 +122,6 @@ fn expired_deadline_degrades_instead_of_hanging() {
 
 #[test]
 fn interrupted_cli_dse_resumes_from_checkpoint() {
-    let _scope = FaultScope::inject(FaultPlan::default());
     let dir = std::env::temp_dir().join("secureloop-cli-dse-resume");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("sweep.json");

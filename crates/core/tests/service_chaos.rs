@@ -9,8 +9,9 @@
 //! `Read`/`Write` exactly so these tests need no subprocess.
 //!
 //! Several tests flip process-global state (the shutdown flag, the
-//! telemetry sink, the fault plan), so every test serialises on a
-//! file-level mutex, and this file is its own test binary.
+//! telemetry sink), so every test serialises on a file-level mutex, and
+//! this file is its own test binary. Chaos fault plans need no lock:
+//! each lives in its job's task context.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -450,6 +451,60 @@ fn poisoned_tenant_reports_cause_and_healthy_results_are_byte_identical() {
 
     let (status, _) = h.finish();
     assert_eq!(status, RunStatus::Success);
+}
+
+/// A chaos job's fault plan lives in its own task context: a healthy
+/// job on the *same* design, running at the same time on the second
+/// job worker, sees neither the fault nor a cache bypass.
+#[test]
+fn concurrent_chaos_job_leaves_a_healthy_neighbour_untouched() {
+    let _guard = serial();
+    let dir = fresh_dir("concurrent");
+    let h = Harness::start(
+        quick_cfg(&dir).with_workers(2).with_supervisor(
+            SupervisorConfig::default()
+                .with_max_retries(1)
+                .with_base_backoff(Duration::from_secs(3)),
+        ),
+    );
+
+    // The chaos job panics DESIGN_A's first layer, then sits out a 3 s
+    // retry backoff with its plan still armed; the healthy job, sent
+    // once the chaos job has started, runs inside that window.
+    let panic_fault =
+        format!("{{\"kind\":\"panic\",\"layers\":[\"fc0\"],\"arch\":\"{DESIGN_A}\"}}");
+    h.send(&submit_line("toxic", &[DESIGN_A], Some(&panic_fault)));
+    h.wait_event("started", "toxic", 30);
+    h.send(&submit_line("healthy", &[DESIGN_A], None));
+
+    let healthy = h.wait_event("result", "healthy", 240);
+    let toxic = h.wait_event("result", "toxic", 240);
+    assert_eq!(toxic["status"].as_str(), Some("poisoned"));
+    assert_eq!(healthy["status"].as_str(), Some("completed"));
+    assert_eq!(
+        healthy["report"]["designs"].to_string(),
+        reference_designs_json(&[DESIGN_A]),
+        "a concurrent chaos job must not perturb healthy results"
+    );
+    let traffic = healthy["report"]["cache_hits"].as_u64().unwrap()
+        + healthy["report"]["cache_misses"].as_u64().unwrap();
+    assert!(
+        traffic > 0,
+        "the healthy job kept using the shared cache: {healthy}"
+    );
+
+    let (status, events) = h.finish();
+    assert_eq!(status, RunStatus::Success);
+    let result_of = |id: &str| {
+        events
+            .iter()
+            .position(|e| e["event"].as_str() == Some("result") && e["id"].as_str() == Some(id))
+            .expect("every job reports a result")
+    };
+    assert!(
+        result_of("healthy") < result_of("toxic"),
+        "the healthy job must finish while the chaos plan is still armed"
+    );
 }
 
 #[test]

@@ -6,9 +6,10 @@
 //! checkpoint.
 //!
 //! Several tests flip process-global state (the shutdown flag, the
-//! telemetry registry, the fault plan), so every test serialises on a
-//! file-level mutex. This file is its own test binary, so nothing
-//! outside it can observe the flips.
+//! telemetry registry), so every test serialises on a file-level mutex.
+//! This file is its own test binary, so nothing outside it can observe
+//! the flips. Fault plans need no lock: each lives in the arming
+//! test's task context.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};

@@ -18,8 +18,11 @@
 //!
 //! Lookups are bypassed — never consulted, never populated — when the
 //! search carries a wall-clock deadline (truncated results are
-//! non-deterministic) or a fault plan is armed (fault injection keys on
-//! layer *names*, which the canonical key deliberately omits).
+//! non-deterministic) or when the calling task's context says so (see
+//! [`crate::cancel::cache_bypassed`]): a retry after a crash, or a task
+//! with an armed fault plan (fault injection keys on layer *names*,
+//! which the canonical key deliberately omits). The bypass is per task:
+//! other tasks sharing the cache keep using it.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -33,7 +36,7 @@ use secureloop_loopnest::{evaluate, CompactMapping, Mapping, SearchSpaceKey};
 use secureloop_telemetry::Counter;
 use secureloop_workload::ConvLayer;
 
-use crate::{cancel, fault, search, MapperError, MapperResult, SearchConfig, SearchTier};
+use crate::{cancel, search, MapperError, MapperResult, SearchConfig, SearchTier};
 
 static CACHE_HIT: Counter = Counter::new("dse.cache_hit");
 static CACHE_MISS: Counter = Counter::new("dse.cache_miss");
@@ -540,9 +543,10 @@ fn entry_from_json(e: &Json) -> Result<(String, FrozenEntry), String> {
 
 /// [`search`] with a shared memo: consult `cache` first, populate it on
 /// a miss. Falls back to a plain search (no lookup, no insert) when
-/// `cache` is `None`, when the config carries a deadline, or when a
-/// fault plan is armed — all three would break the "key determines the
-/// outcome" contract.
+/// `cache` is `None`, when the config carries a deadline, or when the
+/// calling task bypasses the cache (a crash retry or an armed fault
+/// plan) — all three would break the "key determines the outcome"
+/// contract.
 ///
 /// # Errors
 ///
@@ -558,7 +562,7 @@ pub fn search_cached(
     // retrying after a panic/timeout must not consult (or populate)
     // shared state its previous attempt may have been corrupting.
     let cache = match cache {
-        Some(c) if cfg.deadline.is_none() && !fault::armed() && !cancel::cache_bypassed() => c,
+        Some(c) if cfg.deadline.is_none() && !cancel::cache_bypassed() => c,
         _ => return search(layer, arch, cfg),
     };
     let key = full_key(&SearchSpaceKey::of(layer, arch), cfg);
@@ -588,7 +592,6 @@ mod tests {
 
     #[test]
     fn second_search_hits_and_matches_the_first() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -606,7 +609,6 @@ mod tests {
 
     #[test]
     fn renamed_architecture_shares_the_entry() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
         let a = Architecture::eyeriss_base();
@@ -619,7 +621,6 @@ mod tests {
 
     #[test]
     fn different_budget_is_a_different_entry() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         search_cached(&layer(), &arch, &SearchConfig::quick(), Some(&cache)).unwrap();
@@ -636,7 +637,6 @@ mod tests {
 
     #[test]
     fn guided_and_random_never_share_an_entry() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let random = SearchConfig::quick();
@@ -674,7 +674,6 @@ mod tests {
 
     #[test]
     fn disk_round_trip_thaws_to_identical_results() {
-        let _serial = crate::fault::serialise();
         let dir = std::env::temp_dir().join("secureloop-cache-roundtrip");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.json");
@@ -798,7 +797,6 @@ mod tests {
 
     #[test]
     fn schemes_never_share_an_entry() {
-        let _serial = crate::fault::serialise();
         use secureloop_crypto::{CryptoConfig, EngineClass, SchemeId};
         let cache = CandidateCache::new();
         let cfg = SearchConfig::quick();
@@ -828,7 +826,6 @@ mod tests {
 
     #[test]
     fn budget_evicts_least_recently_used_first() {
-        let _serial = crate::fault::serialise();
         let layers: Vec<ConvLayer> = zoo::alexnet_conv().layers().to_vec();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -858,7 +855,6 @@ mod tests {
 
     #[test]
     fn oversized_single_entry_still_serves() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new().with_budget_bytes(1);
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();
@@ -870,7 +866,6 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let _serial = crate::fault::serialise();
         let cache = CandidateCache::new();
         let arch = Architecture::eyeriss_base();
         let cfg = SearchConfig::quick();

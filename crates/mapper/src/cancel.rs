@@ -1,14 +1,16 @@
-//! Cooperative cancellation for mapper searches.
+//! Cooperative cancellation and the per-task context for mapper
+//! searches.
 //!
 //! Two layers compose here:
 //!
 //! * a **process-wide shutdown flag** — flipped by a signal handler (or
 //!   a test) via [`request_shutdown`]; setting an atomic is
 //!   async-signal-safe, so this is the only thing a handler does;
-//! * a **per-task [`CancelToken`]** — handed to one supervised task
-//!   (one design-point evaluation) so a watchdog can abandon exactly
-//!   that task when it stalls past its timeout, without touching its
-//!   siblings.
+//! * a **per-task [`TaskContext`]** — the cancel tokens of one
+//!   supervised attempt and of the service job it belongs to, the
+//!   attempt's cache-bypass flag, and any armed [`crate::FaultPlan`].
+//!   A watchdog can abandon exactly one stalled task, and a client can
+//!   cancel exactly one job, without touching their siblings.
 //!
 //! Both are checked together by [`cancelled`] at the mapper's chunk
 //! boundaries (the same stride that polls the search deadline), so a
@@ -16,15 +18,20 @@
 //! returns [`crate::MapperError::Cancelled`] instead of partial
 //! garbage.
 //!
-//! The per-task state travels through a thread-local [`TaskScope`]
-//! rather than through [`crate::SearchConfig`] (which is `Copy` and
-//! serialised into cache keys): the supervisor enters a scope on the
-//! thread that runs the task, [`crate::search`] reads it once at entry,
-//! and the worker closures it spawns capture the cloned context.
+//! The context travels through a thread-local [`TaskScope`] rather than
+//! through [`crate::SearchConfig`] (which is `Copy` and serialised into
+//! cache keys). Whoever starts a task enters a scope on its thread —
+//! the service per job, [`crate::FaultScope`] per armed plan, the
+//! supervisor per attempt — and anything that moves the task's work to
+//! another thread re-enters the caller's context there (the sweep's
+//! workers, the supervisor's watchdog thread). [`crate::search`] reads
+//! it once at entry, and the chunk workers it spawns capture the clone.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+use crate::fault::ArmedPlan;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -67,8 +74,8 @@ impl CancelToken {
     }
 }
 
-/// Per-task context installed by the supervisor for the duration of one
-/// supervised attempt.
+/// Per-task context: what a search needs to know about the task it runs
+/// for, installed on the task's threads by [`TaskScope`].
 #[derive(Debug, Clone, Default)]
 pub struct TaskContext {
     /// Cancellation token the watchdog may trip.
@@ -81,6 +88,8 @@ pub struct TaskContext {
     /// after a panic or timeout: a key whose computation just crashed
     /// must not be answered from (or written into) shared state.
     pub bypass_cache: bool,
+    /// The fault plan armed for this task by [`crate::FaultScope`].
+    pub fault: Option<Arc<ArmedPlan>>,
 }
 
 thread_local! {
@@ -112,10 +121,15 @@ pub fn current_context() -> TaskContext {
     TASK.with(|t| t.borrow().clone())
 }
 
-/// Whether the current thread's task asked to bypass the candidate
-/// cache (see [`TaskContext::bypass_cache`]).
+/// Whether the current thread's task must bypass the candidate cache:
+/// a retry after a crash (see [`TaskContext::bypass_cache`]), or an
+/// armed fault plan, whose faults key on layer names that the cache key
+/// deliberately omits.
 pub fn cache_bypassed() -> bool {
-    TASK.with(|t| t.borrow().bypass_cache)
+    TASK.with(|t| {
+        let t = t.borrow();
+        t.bypass_cache || t.fault.is_some()
+    })
 }
 
 /// Whether `ctx`'s task should stop: either its own token was cancelled
@@ -151,8 +165,8 @@ mod tests {
         {
             let _scope = TaskScope::enter(TaskContext {
                 token: Some(token.clone()),
-                job_token: None,
                 bypass_cache: true,
+                ..TaskContext::default()
             });
             assert!(cache_bypassed());
             let ctx = current_context();
@@ -170,7 +184,7 @@ mod tests {
         let ctx = TaskContext {
             token: Some(CancelToken::new()),
             job_token: Some(job.clone()),
-            bypass_cache: false,
+            ..TaskContext::default()
         };
         assert!(!cancelled(&ctx));
         job.cancel();

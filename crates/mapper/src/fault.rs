@@ -1,19 +1,30 @@
 //! Fault-injection hooks for the robustness test harness.
 //!
-//! Production code never arms a plan; the hooks then compile down to a
-//! mutex-guarded `None` check per layer search. Tests install a
-//! [`FaultPlan`] through [`FaultScope::inject`] to force specific layers
-//! to fail their search, poison their costs with NaN, panic, stall, or
-//! fail transiently with a simulated I/O error — exercising the
-//! scheduler's degradation ladder and the sweep supervisor end to end.
+//! Production code never arms a plan; the hooks then cost one `None`
+//! check per layer search. Tests (and the service's chaos hook) install
+//! a [`FaultPlan`] through [`FaultScope::inject`] to force specific
+//! layers to fail their search, poison their costs with NaN, panic,
+//! stall, or fail transiently with a simulated I/O error — exercising
+//! the scheduler's degradation ladder and the sweep supervisor end to
+//! end.
 //!
-//! Scopes serialise on a process-wide lock so concurrent `cargo test`
-//! threads cannot observe each other's plans, and the plan is cleared
+//! An armed plan lives in the calling thread's task context (see
+//! [`crate::cancel::TaskContext`]), not in process-wide state. It
+//! reaches every search the task runs — including those on sweep
+//! worker and supervisor watchdog threads, which re-enter the caller's
+//! context — and nothing else, so concurrent tests and concurrent
+//! service jobs never observe each other's plans. The plan is disarmed
 //! when the scope drops (even on panic).
+//!
+//! Artifact write faults are not part of a plan: a full or read-only
+//! disk is a machine-wide condition, modelled by the artifact crate's
+//! own switch (`secureloop_artifact::fault`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::cancel::{self, TaskContext, TaskScope};
 
 /// Which layers a test wants to sabotage, by layer name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -38,17 +49,10 @@ pub struct FaultPlan {
     pub io_error_layers: BTreeSet<String>,
     /// Injected I/O failures per layer before the fault clears.
     pub io_error_budget: u32,
-    /// Restrict the whole plan to searches running against the named
+    /// Restrict the plan to searches running against the named
     /// architecture (design label). `None` applies everywhere; a sweep
     /// test uses this to sabotage exactly one design point of many.
     pub arch: Option<String>,
-    /// Budget of *artifact* write failures to inject into the durable
-    /// persistence layer (`secureloop_artifact`) while this plan is
-    /// armed: each durable-write attempt consumes one failure until the
-    /// budget is spent (transient-error model). `0` injects nothing;
-    /// [`FaultPlan::ARTIFACT_IO_ALL`] never clears (a persistently full
-    /// or read-only disk).
-    pub artifact_io_budget: u64,
 }
 
 fn names<I: IntoIterator<Item = S>, S: Into<String>>(layers: I) -> BTreeSet<String> {
@@ -107,20 +111,6 @@ impl FaultPlan {
         self.arch = Some(arch.into());
         self
     }
-
-    /// Sentinel budget meaning "every artifact write fails" — the
-    /// persistent ENOSPC/EROFS model, as opposed to a finite transient
-    /// budget that retries eventually outlast.
-    pub const ARTIFACT_IO_ALL: u64 = u64::MAX;
-
-    /// A plan injecting `budget` artifact-write failures into the
-    /// durable persistence layer (no layer searches are sabotaged).
-    pub fn artifact_io(budget: u64) -> Self {
-        FaultPlan {
-            artifact_io_budget: budget,
-            ..FaultPlan::default()
-        }
-    }
 }
 
 /// What the armed plan says about one layer.
@@ -141,41 +131,22 @@ pub(crate) enum Verdict {
     IoError,
 }
 
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static SCOPE_LOCK: Mutex<()> = Mutex::new(());
-/// Injected-I/O attempts observed per layer while a plan is armed.
-static IO_FIRED: Mutex<BTreeMap<String, u32>> = Mutex::new(BTreeMap::new());
-
-fn plan_slot() -> MutexGuard<'static, Option<FaultPlan>> {
-    // A panicking test poisons the mutex; the data (a plain plan) is
-    // still coherent, so recover rather than cascade the panic.
-    PLAN.lock().unwrap_or_else(|e| e.into_inner())
+/// A [`FaultPlan`] armed by one [`FaultScope`], with its tally of
+/// injected I/O failures per layer. Every thread of the task shares it,
+/// so a layer's I/O budget is spent once per scope, across retries and
+/// workers.
+#[derive(Debug)]
+pub struct ArmedPlan {
+    plan: FaultPlan,
+    io_fired: Mutex<BTreeMap<String, u32>>,
 }
 
-/// Hold the fault-scope lock without arming a plan, for tests whose
-/// cache counters a concurrently armed plan would disturb (an armed
-/// plan bypasses the candidate cache).
-#[cfg(test)]
-pub(crate) fn serialise() -> MutexGuard<'static, ()> {
-    SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn io_fired() -> MutexGuard<'static, BTreeMap<String, u32>> {
-    IO_FIRED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Whether any fault plan is currently armed. Layer-shape caches must
-/// be bypassed while one is: faults key on layer *names*, which a
-/// shape-dedup cache would conflate.
-pub fn armed() -> bool {
-    plan_slot().is_some()
-}
-
-pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
-    let slot = plan_slot();
-    let Some(p) = slot.as_ref() else {
+/// What the plan armed in `ctx` says about `layer` searched on `arch`.
+pub(crate) fn verdict_for(ctx: &TaskContext, layer: &str, arch: &str) -> Verdict {
+    let Some(armed) = ctx.fault.as_deref() else {
         return Verdict::Clean;
     };
+    let p = &armed.plan;
     if p.arch.as_deref().is_some_and(|scoped| scoped != arch) {
         return Verdict::Clean;
     }
@@ -186,11 +157,11 @@ pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
         return Verdict::Stall(p.stall_duration);
     }
     if p.io_error_layers.contains(layer) {
-        let budget = p.io_error_budget;
-        drop(slot);
-        let mut fired = io_fired();
+        // A panicking test poisons the mutex; the tally is still
+        // coherent, so recover rather than cascade the panic.
+        let mut fired = armed.io_fired.lock().unwrap_or_else(|e| e.into_inner());
         let count = fired.entry(layer.to_string()).or_insert(0);
-        if *count < budget {
+        if *count < p.io_error_budget {
             *count += 1;
             return Verdict::IoError;
         }
@@ -205,37 +176,27 @@ pub(crate) fn verdict_for(layer: &str, arch: &str) -> Verdict {
     Verdict::Clean
 }
 
-/// RAII guard arming a [`FaultPlan`] for the duration of a test.
-///
-/// Holding the scope also holds a process-wide lock, so at most one
-/// fault-injecting test runs at a time.
+/// RAII guard arming a [`FaultPlan`] in the calling thread's task
+/// context until it drops.
 pub struct FaultScope {
-    _serialise: MutexGuard<'static, ()>,
+    _task: TaskScope,
 }
 
 impl FaultScope {
-    /// Arm `plan` until the returned scope drops. A plan carrying an
-    /// `artifact_io_budget` also arms the durable persistence layer's
-    /// fault hook; the scope's process-wide lock keeps that global
-    /// state exclusive too.
+    /// Arm `plan` for the calling task until the returned scope drops.
+    /// The rest of the current [`TaskContext`] (cancel tokens, cache
+    /// bypass) is kept.
     pub fn inject(plan: FaultPlan) -> FaultScope {
-        let guard = SCOPE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        io_fired().clear();
-        match plan.artifact_io_budget {
-            0 => secureloop_artifact::fault::disarm(),
-            FaultPlan::ARTIFACT_IO_ALL => secureloop_artifact::fault::arm_all(),
-            n => secureloop_artifact::fault::arm(n),
+        let armed = ArmedPlan {
+            plan,
+            io_fired: Mutex::new(BTreeMap::new()),
+        };
+        FaultScope {
+            _task: TaskScope::enter(TaskContext {
+                fault: Some(Arc::new(armed)),
+                ..cancel::current_context()
+            }),
         }
-        *plan_slot() = Some(plan);
-        FaultScope { _serialise: guard }
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        *plan_slot() = None;
-        io_fired().clear();
-        secureloop_artifact::fault::disarm();
     }
 }
 
@@ -244,6 +205,12 @@ mod tests {
     use super::*;
 
     const ANY: &str = "any-arch";
+
+    /// The current thread's verdict (shadows the crate-level
+    /// `verdict_for`, which takes the context explicitly).
+    fn verdict_for(layer: &str, arch: &str) -> Verdict {
+        super::verdict_for(&cancel::current_context(), layer, arch)
+    }
 
     #[test]
     fn plan_is_scoped_and_cleared() {
@@ -297,5 +264,28 @@ mod tests {
         let _scope = FaultScope::inject(FaultPlan::panic(["conv1"]).for_arch("design-7"));
         assert_eq!(verdict_for("conv1", "design-7"), Verdict::Panic);
         assert_eq!(verdict_for("conv1", "design-8"), Verdict::Clean);
+    }
+
+    /// A plan reaches only the task that armed it: another thread —
+    /// another test, or another service job — searches clean, while a
+    /// thread that re-enters the arming task's context sees the plan.
+    /// The two re-entry paths in `secureloop` are pinned end to end by
+    /// its `supervision` suite: `poisoned_design_is_contained_to_its_slot`
+    /// (sweep workers, `workers > 1`) and
+    /// `stalled_design_is_timed_out_and_quarantined` (the supervisor's
+    /// watchdog thread, `task_timeout` set).
+    #[test]
+    fn plan_stays_on_the_arming_task() {
+        let _scope = FaultScope::inject(FaultPlan::fail(["conv1"]));
+        assert_eq!(verdict_for("conv1", ANY), Verdict::Fail);
+        let elsewhere = std::thread::spawn(|| verdict_for("conv1", ANY));
+        assert_eq!(elsewhere.join().unwrap(), Verdict::Clean);
+
+        let ctx = cancel::current_context();
+        let worker = std::thread::spawn(move || {
+            let _task = TaskScope::enter(ctx);
+            verdict_for("conv1", ANY)
+        });
+        assert_eq!(worker.join().unwrap(), Verdict::Fail);
     }
 }

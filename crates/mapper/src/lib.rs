@@ -507,8 +507,9 @@ pub fn search(
     let mut search_span = telemetry::span("mapper", layer.name()).with_timer(&SEARCH_TIMER);
     SEARCHES.incr();
 
-    // Per-task cancellation context, installed by the supervisor on
-    // this thread; the chunk workers spawned below capture a clone.
+    // Per-task context (cancel tokens, armed fault plan), installed on
+    // this thread by whoever runs the task; the chunk workers spawned
+    // below capture a clone.
     let ctx = cancel::current_context();
     let cancelled_err = || MapperError::Cancelled {
         layer: layer.name().to_string(),
@@ -518,7 +519,7 @@ pub fn search(
         return Err(cancelled_err());
     }
 
-    let verdict = fault::verdict_for(layer.name(), arch.name());
+    let verdict = fault::verdict_for(&ctx, layer.name(), arch.name());
     match verdict {
         fault::Verdict::Fail => {
             search_span.add_field("error", "injected_failure");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Soak test for `secureloop serve`: 20 jobs (2 fault-planned poison
-# jobs, a burst that overflows the queue), SIGTERM mid-run, restart on
-# the same state dir, then assert:
+# jobs, 1 stalled slow job, a burst that overflows the queue), SIGTERM
+# mid-run, restart on the same state dir, then assert:
 #
 #   - the burst was shed with typed `overloaded` responses,
 #   - the poison jobs settled as `poisoned` with their cause,
@@ -55,13 +55,18 @@ wait_for '"event":"ready"' "$WORK/soak-1.log" 30
 
 # j01 is the byte-identity reference (full space, no designs filter —
 # the exact sweep the one-shot run above did). j02/j03 are the planned
-# poison jobs: an injected panic scoped to their own design.
+# poison jobs: an injected panic scoped to their own design. j04 is a
+# slow tenant: a stall on its first layer (results unchanged) keeps it
+# running when the SIGTERM lands, however fast the other jobs finish,
+# so the drain always has a job to checkpoint.
 echo "{\"op\":\"submit\",\"id\":\"j01\",$BUDGET}" >&3
 for i in 2 3; do
     d=${DESIGNS[$((i - 2))]}
     echo "{\"op\":\"submit\",\"id\":\"j0$i\",$BUDGET,\"designs\":[\"$d\"],\"fault\":{\"kind\":\"panic\",\"layers\":[\"fc0\"],\"arch\":\"$d\"}}" >&3
 done
-for i in $(seq 4 20); do
+d=${DESIGNS[2]}
+echo "{\"op\":\"submit\",\"id\":\"j04\",$BUDGET,\"designs\":[\"$d\"],\"fault\":{\"kind\":\"stall\",\"layers\":[\"fc0\"],\"arch\":\"$d\",\"stall_ms\":20000}}" >&3
+for i in $(seq 5 20); do
     id=$(printf 'j%02d' "$i")
     d=${DESIGNS[$(( (i - 4) % ${#DESIGNS[@]} ))]}
     echo "{\"op\":\"submit\",\"id\":\"$id\",$BUDGET,\"designs\":[\"$d\"]}" >&3
