@@ -86,7 +86,7 @@ pub fn fuse_pair(
 }
 
 fn dt_bits(e: &Evaluation, dt: Datatype) -> u64 {
-    e.dram_bits_by_dt[secureloop_loopnest::dt_index(dt)]
+    e.dram_bits_by_dt[dt.index()]
 }
 
 /// Re-derive an evaluation with one datatype's DRAM traffic removed
@@ -94,7 +94,7 @@ fn dt_bits(e: &Evaluation, dt: Datatype) -> u64 {
 /// traffic already exists in the counts; the DRAM+crypto side and its
 /// energy disappear.
 fn without_dt_traffic(e: &Evaluation, arch: &Architecture, dt: Datatype) -> Evaluation {
-    let i = secureloop_loopnest::dt_index(dt);
+    let i = dt.index();
     let mut bits = e.dram_bits_by_dt;
     let removed = bits[i];
     bits[i] = 0;

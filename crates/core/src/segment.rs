@@ -14,7 +14,7 @@ use secureloop_arch::Architecture;
 use secureloop_authblock::{
     evaluate_assignment, optimize, AssignmentProblem, OverheadBreakdown, SplitOverhead, Strategy,
 };
-use secureloop_loopnest::{dt_index, Evaluation, Mapping};
+use secureloop_loopnest::{Evaluation, Mapping};
 use secureloop_telemetry::Counter;
 use secureloop_workload::Network;
 
@@ -180,10 +180,10 @@ pub fn evaluate_segment(
         breakdown.add(&prod);
         breakdown.add(&cons);
         if let Some(p) = case.attribution.producer {
-            extra_by_dt[local(p)][dt_index(case.producer_stream)] += prod.total_bits();
+            extra_by_dt[local(p)][case.producer_stream.index()] += prod.total_bits();
         }
         if let Some(c) = case.attribution.consumer {
-            extra_by_dt[local(c)][dt_index(case.consumer_stream)] += cons.total_bits();
+            extra_by_dt[local(c)][case.consumer_stream.index()] += cons.total_bits();
         }
     }
     let extra_bits: Vec<u64> = extra_by_dt.iter().map(|e| e.iter().sum()).collect();

@@ -22,7 +22,7 @@
 
 use secureloop_arch::Architecture;
 use secureloop_authblock::{AccessPattern, AssignmentProblem, Region, TileGrid};
-use secureloop_loopnest::{dram_stats, dt_index, DramTileStats, Mapping};
+use secureloop_loopnest::{dram_stats, DramTileStats, Mapping};
 use secureloop_workload::{ConvLayer, Datatype, Dim};
 
 /// Which layer each side of a tensor's overhead belongs to.
@@ -85,7 +85,7 @@ pub fn weight_case(
     arch: &Architecture,
     stats: &[DramTileStats; 3],
 ) -> TensorCase {
-    let s = stats[dt_index(Datatype::Weight)];
+    let s = stats[Datatype::Weight.index()];
     let (word_bits, tag_bits) = word_tag_bits(layer, arch);
     let region = Region::new(
         layer.dim(Dim::M),
@@ -181,7 +181,7 @@ pub fn input_case(
     arch: &Architecture,
     stats: &[DramTileStats; 3],
 ) -> TensorCase {
-    let s = stats[dt_index(Datatype::Ifmap)];
+    let s = stats[Datatype::Ifmap.index()];
     let (word_bits, tag_bits) = word_tag_bits(layer, arch);
     let (region, planes) = if is_fc(layer) {
         (Region::new(1, layer.ifmap_channels()), 1)
@@ -216,7 +216,7 @@ pub fn input_case(
 /// layer's ofmap. FC layers fold the channel vector into the region
 /// (one plane); conv layers get one `P×Q` plane per output channel.
 fn ofmap_producer(layer: &ConvLayer, stats: &[DramTileStats; 3]) -> (Region, TileGrid, u64, u64) {
-    let s = stats[dt_index(Datatype::Ofmap)];
+    let s = stats[Datatype::Ofmap.index()];
     let (region, grid, planes) = if is_fc(layer) {
         let region = Region::new(1, layer.dim(Dim::M));
         let m_t = s.tile_dims[Dim::M].min(region.w);
@@ -233,8 +233,8 @@ fn ofmap_producer(layer: &ConvLayer, stats: &[DramTileStats; 3]) -> (Region, Til
     // Every accumulation epoch writes all tags; every partial-sum
     // re-read fetches them again: (epochs + (epochs - distinct)) /
     // distinct tag sweeps per tile.
-    let epochs = stats[dt_index(Datatype::Ofmap)].fetch_events;
-    let distinct = stats[dt_index(Datatype::Ofmap)].distinct;
+    let epochs = stats[Datatype::Ofmap.index()].fetch_events;
+    let distinct = stats[Datatype::Ofmap.index()].distinct;
     let tag_sweeps = (2 * epochs - distinct) / distinct;
     (region, grid, tag_sweeps, planes)
 }
@@ -252,7 +252,7 @@ pub fn coupled_case(
 ) -> TensorCase {
     let (word_bits, tag_bits) = word_tag_bits(producer, arch);
     let (region, producer_grid, write_sweeps, planes) = ofmap_producer(producer, producer_stats);
-    let cons = consumer_stats[dt_index(Datatype::Ifmap)];
+    let cons = consumer_stats[Datatype::Ifmap.index()];
     TensorCase {
         label: format!("{}->{}", producer.name(), consumer.name()),
         problem: AssignmentProblem {

@@ -37,16 +37,9 @@ impl AccessCounts {
 
     /// DRAM words moved for one datatype (reads + writes).
     pub fn dram_words(&self, dt: Datatype) -> u64 {
-        let i = dt_index(dt);
+        let i = dt.index();
         self.dram_read_words[i] + self.dram_write_words[i]
     }
-}
-
-fn dt_index(dt: Datatype) -> usize {
-    Datatype::ALL
-        .iter()
-        .position(|&d| d == dt)
-        .expect("datatype in ALL")
 }
 
 /// Component-wise energy of one layer execution, in pJ.
@@ -195,7 +188,7 @@ pub fn evaluate(
     let mut noc_words: u64 = 0;
 
     for dt in [Datatype::Weight, Datatype::Ifmap] {
-        let i = dt_index(dt);
+        let i = dt.index();
         if constraints.bypasses_glb(dt) {
             // Streams DRAM -> PE array: refetch rate governed by all
             // temporal loops, volume is the PE-array tile.
@@ -217,7 +210,7 @@ pub fn evaluate(
 
     // Ofmap: read-modify-write at both boundaries.
     {
-        let i = dt_index(Datatype::Ofmap);
+        let i = Datatype::Ofmap.index();
         let glb_fp = footprint_words(layer, Datatype::Ofmap, &glb_tile);
         let dram_t = ofmap_traffic(layer, &dram_loops);
         counts.dram_read_words[i] = dram_t.reads() * glb_fp;

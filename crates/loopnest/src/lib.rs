@@ -58,5 +58,5 @@ pub use cost::{evaluate, AccessCounts, EnergyBreakdown, Evaluation};
 pub use footprint::{footprint_words, inner_products, Boundary};
 pub use key::SearchSpaceKey;
 pub use mapping::{Mapping, MappingError};
-pub use stats::{dram_stats, dt_index, DramTileStats};
+pub use stats::{dram_stats, DramTileStats};
 pub use text::{CompactMapping, ParseMappingError};

@@ -10,7 +10,9 @@
 //! innermost relevant loop do not change the tile, so the buffered copy
 //! is reused across them.
 
-use secureloop_workload::{ConvLayer, Datatype, Dim};
+use std::ops::Deref;
+
+use secureloop_workload::{ConvLayer, Datatype, Dim, DimMap};
 
 /// One temporal loop above a boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,15 +23,43 @@ pub struct OuterLoop {
     pub bound: u64,
 }
 
+/// The non-unit temporal loops of up to two levels, held inline:
+/// derefs to `&[OuterLoop]`, outermost first.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopList {
+    loops: [OuterLoop; 14],
+    len: usize,
+}
+
+impl Deref for LoopList {
+    type Target = [OuterLoop];
+
+    fn deref(&self) -> &[OuterLoop] {
+        &self.loops[..self.len]
+    }
+}
+
 /// Collect the non-unit loops of `order`/`factors` pairs, outermost
 /// first, concatenating multiple levels outer-to-inner.
-pub fn collect_loops(levels: &[(&[Dim; 7], &secureloop_workload::DimMap<u64>)]) -> Vec<OuterLoop> {
-    let mut out = Vec::new();
+///
+/// # Panics
+///
+/// Panics if given more than two levels (14 loops).
+pub fn collect_loops(levels: &[(&[Dim; 7], &DimMap<u64>)]) -> LoopList {
+    assert!(levels.len() <= 2, "collect_loops holds at most two levels");
+    let mut out = LoopList {
+        loops: [OuterLoop {
+            dim: Dim::N,
+            bound: 1,
+        }; 14],
+        len: 0,
+    };
     for (order, factors) in levels {
         for &dim in order.iter() {
             let bound = factors[dim];
             if bound > 1 {
-                out.push(OuterLoop { dim, bound });
+                out.loops[out.len] = OuterLoop { dim, bound };
+                out.len += 1;
             }
         }
     }

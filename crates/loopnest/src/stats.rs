@@ -101,14 +101,6 @@ pub fn dram_stats(layer: &ConvLayer, arch: &Architecture, mapping: &Mapping) -> 
     out
 }
 
-/// Index of a datatype within the `[weight, ifmap, ofmap]` arrays.
-pub fn dt_index(dt: Datatype) -> usize {
-    Datatype::ALL
-        .iter()
-        .position(|&d| d == dt)
-        .expect("datatype in ALL")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +142,7 @@ mod tests {
     #[test]
     fn ofmap_tiles_cover_tensor() {
         let (layer, arch, m) = fixture();
-        let s = dram_stats(&layer, &arch, &m)[dt_index(Datatype::Ofmap)];
+        let s = dram_stats(&layer, &arch, &m)[Datatype::Ofmap.index()];
         assert_eq!(s.tile_dims[Dim::P] * s.tiles[Dim::P], layer.dim(Dim::P));
         assert_eq!(s.tile_dims[Dim::Q] * s.tiles[Dim::Q], layer.dim(Dim::Q));
         assert_eq!(s.tile_dims[Dim::M] * s.tiles[Dim::M], layer.dim(Dim::M));
@@ -164,7 +156,7 @@ mod tests {
     #[test]
     fn bypassed_weights_use_pe_tile() {
         let (layer, arch, m) = fixture();
-        let s = dram_stats(&layer, &arch, &m)[dt_index(Datatype::Weight)];
+        let s = dram_stats(&layer, &arch, &m)[Datatype::Weight.index()];
         // Weight bypasses GLB in row-stationary: tiles counted over
         // dram x glb factors.
         assert_eq!(s.tiles[Dim::M], 64); // 8 dram * 8 glb
@@ -177,12 +169,12 @@ mod tests {
         let (layer, arch, m) = fixture();
         let stats = dram_stats(&layer, &arch, &m);
         let eval = crate::evaluate(&layer, &arch, &m).unwrap();
-        let s = stats[dt_index(Datatype::Ifmap)];
+        let s = stats[Datatype::Ifmap.index()];
         let inner = inner_products(&m, Boundary::BelowDram);
         let fp = crate::footprint_words(&layer, Datatype::Ifmap, &inner);
         assert_eq!(eval.counts.dram_read_words[1], s.fetch_events * fp);
         // Ofmap: writes = epochs * fp.
-        let so = stats[dt_index(Datatype::Ofmap)];
+        let so = stats[Datatype::Ofmap.index()];
         let fpo = crate::footprint_words(&layer, Datatype::Ofmap, &inner);
         assert_eq!(eval.counts.dram_write_words[2], so.fetch_events * fpo);
     }

@@ -22,7 +22,7 @@ use secureloop_loopnest::{evaluate, Evaluation, Mapping};
 use secureloop_workload::{ConvLayer, Dim, DimMap};
 
 use crate::error::MapperError;
-use crate::factors::divisors_up_to;
+use crate::factors::DivisorTable;
 
 /// Deterministically construct a mapping for `layer` on `arch`.
 ///
@@ -37,6 +37,7 @@ pub fn greedy_mapping(
 ) -> Result<(Mapping, Evaluation), MapperError> {
     let constraints = arch.dataflow().constraints();
     let mut remaining = layer.bounds();
+    let table = DivisorTable::new(remaining);
 
     // 1. Spatial fill: largest divisor first, preferring dimensions
     // with more headroom.
@@ -48,7 +49,8 @@ pub fn greedy_mapping(
             if left <= 1 {
                 break;
             }
-            let f = *divisors_up_to(remaining[d], left)
+            let f = *table
+                .up_to(d, remaining[d], left)
                 .last()
                 .expect("1 always divides");
             out[d] = f;
@@ -57,13 +59,13 @@ pub fn greedy_mapping(
         }
     };
     fill(
-        &constraints.spatial_y,
+        constraints.spatial_y,
         arch.pe_y() as u64,
         &mut spatial_y,
         &mut remaining,
     );
     fill(
-        &constraints.spatial_x,
+        constraints.spatial_x,
         arch.pe_x() as u64,
         &mut spatial_x,
         &mut remaining,
@@ -76,7 +78,7 @@ pub fn greedy_mapping(
         remaining[d] = 1;
     }
     for d in [Dim::C, Dim::Q] {
-        let f = *divisors_up_to(remaining[d], 4).last().expect("nonempty");
+        let f = *table.up_to(d, remaining[d], 4).last().expect("nonempty");
         rf[d] = f;
         remaining[d] /= f;
     }
@@ -94,9 +96,7 @@ pub fn greedy_mapping(
                 continue;
             }
             // Smallest prime factor of the remainder.
-            let next = (2..=remaining[d])
-                .find(|f| remaining[d].is_multiple_of(*f))
-                .expect("remainder > 1 has a factor");
+            let next = table.of(d, remaining[d])[1];
             glb[d] *= next;
             remaining[d] /= next;
             let candidate = assemble(layer, glb, spatial_x, spatial_y, rf, remaining);

@@ -1,4 +1,13 @@
 //! Random mapping generation (Timeloop-style random pruning).
+//!
+//! The draw loop is allocation-free: every divisor query reads the
+//! sampler's per-layer [`DivisorTable`], the dataflow's allowed spatial
+//! dims are `&'static` slices shuffled through a stack copy, and guided
+//! mutations pick eligible dims from stack arrays. Only the returned
+//! [`Mapping`] (itself a fixed-size value) leaves a draw. The table's
+//! lists equal [`divisors`](crate::factors::divisors), so each draw
+//! makes the RNG calls that trial division would lead to;
+//! `tests/determinism.rs` pins the resulting streams.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -8,7 +17,7 @@ use secureloop_arch::{Architecture, DataflowConstraints};
 use secureloop_loopnest::Mapping;
 use secureloop_workload::{ConvLayer, Dim, DimMap};
 
-use crate::factors::{divisors, divisors_up_to};
+use crate::factors::DivisorTable;
 
 /// Draws random, structurally plausible mappings of one layer onto one
 /// architecture. Capacity feasibility is *not* guaranteed — the caller
@@ -18,6 +27,7 @@ use crate::factors::{divisors, divisors_up_to};
 #[derive(Debug)]
 pub struct MappingSampler {
     bounds: DimMap<u64>,
+    table: DivisorTable,
     constraints: DataflowConstraints,
     pe_x: u64,
     pe_y: u64,
@@ -29,6 +39,7 @@ impl MappingSampler {
     pub fn new(layer: &ConvLayer, arch: &Architecture, seed: u64) -> Self {
         MappingSampler {
             bounds: layer.bounds(),
+            table: DivisorTable::new(layer.bounds()),
             constraints: arch.dataflow().constraints(),
             pe_x: arch.pe_x() as u64,
             pe_y: arch.pe_y() as u64,
@@ -45,19 +56,22 @@ impl MappingSampler {
         // Spatial Y, then X: walk the allowed dims in random order and
         // assign a random divisor within the remaining array capacity.
         // Biasing toward the largest divisor keeps utilisation high.
+        let table = &self.table;
         let assign_axis = |rng: &mut StdRng,
                            allowed: &[Dim],
                            cap: u64,
                            out: &mut DimMap<u64>,
                            remaining: &mut DimMap<u64>| {
-            let mut dims: Vec<Dim> = allowed.to_vec();
+            let mut buf = Dim::ALL;
+            let dims = &mut buf[..allowed.len()];
+            dims.copy_from_slice(allowed);
             dims.shuffle(rng);
             let mut left = cap;
-            for d in dims {
+            for &d in dims.iter() {
                 if left <= 1 {
                     break;
                 }
-                let choices = divisors_up_to(remaining[d], left);
+                let choices = table.up_to(d, remaining[d], left);
                 let pick = if rng.gen_bool(0.5) {
                     *choices.last().expect("1 always divides")
                 } else {
@@ -68,48 +82,27 @@ impl MappingSampler {
                 left /= pick;
             }
         };
-        let y_allowed = self.constraints.spatial_y.clone();
-        let x_allowed = self.constraints.spatial_x.clone();
         assign_axis(
             &mut self.rng,
-            &y_allowed,
+            self.constraints.spatial_y,
             self.pe_y,
             &mut spatial_y,
             &mut remaining,
         );
         assign_axis(
             &mut self.rng,
-            &x_allowed,
+            self.constraints.spatial_x,
             self.pe_x,
             &mut spatial_x,
             &mut remaining,
         );
 
-        // Temporal split: RF gets a small factor (register files are
-        // tiny), GLB a random share, DRAM the rest.
+        // Temporal split, dim by dim.
         let mut rf = DimMap::splat(1u64);
         let mut glb = DimMap::splat(1u64);
         let mut dram = DimMap::splat(1u64);
         for d in Dim::ALL {
-            let b = remaining[d];
-            let rf_cap = match d {
-                Dim::R | Dim::S => b, // filter taps usually fit a PE
-                _ => 8,
-            };
-            let rf_f = *divisors_up_to(b, rf_cap)
-                .choose(&mut self.rng)
-                .expect("1 always divides");
-            let rest = b / rf_f;
-            // Bias toward large GLB tiles: maximal on-chip residency is
-            // where most good schedules live.
-            let glb_f = if self.rng.gen_bool(0.4) {
-                rest
-            } else {
-                *divisors(rest).choose(&mut self.rng).expect("nonempty")
-            };
-            rf[d] = rf_f;
-            glb[d] = glb_f;
-            dram[d] = rest / glb_f;
+            (rf[d], glb[d], dram[d]) = split_temporal(&mut self.rng, &self.table, d, remaining[d]);
         }
 
         // Loop orders: half the time start from the reduction-innermost
@@ -140,18 +133,42 @@ impl MappingSampler {
     }
 }
 
-/// Smallest prime factor of `n` (n ≥ 2): the gentlest unit by which a
-/// tile factor can migrate between memory levels.
-fn smallest_prime_factor(n: u64) -> u64 {
-    debug_assert!(n >= 2);
-    let mut f = 2;
-    while f * f <= n {
-        if n.is_multiple_of(f) {
-            return f;
+/// Split dim `d`'s temporal factor `b` into `(rf, glb, dram)` shares:
+/// RF gets a small factor (register files are tiny), GLB a random
+/// share, DRAM the rest.
+fn split_temporal(rng: &mut StdRng, table: &DivisorTable, d: Dim, b: u64) -> (u64, u64, u64) {
+    let rf_cap = match d {
+        Dim::R | Dim::S => b, // filter taps usually fit a PE
+        _ => 8,
+    };
+    let rf_f = *table
+        .up_to(d, b, rf_cap)
+        .choose(rng)
+        .expect("1 always divides");
+    let rest = b / rf_f;
+    // Bias toward large GLB tiles: maximal on-chip residency is where
+    // most good schedules live.
+    let glb_f = if rng.gen_bool(0.4) {
+        rest
+    } else {
+        *table.of(d, rest).choose(rng).expect("nonempty")
+    };
+    (rf_f, glb_f, rest / glb_f)
+}
+
+/// Choose uniformly among the `candidates` that pass `keep`: the
+/// eligible dims of a mutation, gathered on the stack in candidate
+/// order, so the draw is the one a collected `Vec` would give.
+fn choose_dim(rng: &mut StdRng, candidates: &[Dim], keep: impl Fn(Dim) -> bool) -> Option<Dim> {
+    let mut eligible = Dim::ALL;
+    let mut len = 0;
+    for &d in candidates {
+        if keep(d) {
+            eligible[len] = d;
+            len += 1;
         }
-        f += 1;
     }
-    n
+    eligible[..len].choose(rng).copied()
 }
 
 /// Neighbourhood-biased sampler for guided search: mixes uniform draws
@@ -179,9 +196,6 @@ pub struct GuidedSampler<'a> {
     /// chunk descend a cost gradient instead of orbiting the round's
     /// static guide snapshot.
     local: Vec<Mapping>,
-    constraints: DataflowConstraints,
-    pe_x: u64,
-    pe_y: u64,
 }
 
 /// How many of the caller's most recent front discoveries a sampler
@@ -205,9 +219,6 @@ impl<'a> GuidedSampler<'a> {
             rng: StdRng::seed_from_u64(seed ^ 0xa5a5_5a5a_c3c3_3c3c),
             guides,
             local: Vec::new(),
-            constraints: arch.dataflow().constraints(),
-            pe_x: arch.pe_x() as u64,
-            pe_y: arch.pe_y() as u64,
         }
     }
 
@@ -244,6 +255,7 @@ impl<'a> GuidedSampler<'a> {
     }
 
     fn mutate(&mut self, m: &mut Mapping) {
+        let table = &self.base.table;
         match self.rng.gen_range(0..11u32) {
             0 => {
                 let i = self.rng.gen_range(0..m.dram_order.len());
@@ -257,24 +269,23 @@ impl<'a> GuidedSampler<'a> {
             }
             2 => {
                 if self.rng.gen_bool(0.5) {
-                    move_factor(&mut self.rng, &mut m.dram, &mut m.glb);
+                    move_factor(&mut self.rng, table, &mut m.dram, &mut m.glb);
                 } else {
-                    move_factor(&mut self.rng, &mut m.glb, &mut m.dram);
+                    move_factor(&mut self.rng, table, &mut m.glb, &mut m.dram);
                 }
             }
             3 => {
                 if self.rng.gen_bool(0.5) {
-                    move_factor(&mut self.rng, &mut m.glb, &mut m.rf);
+                    move_factor(&mut self.rng, table, &mut m.glb, &mut m.rf);
                 } else {
-                    move_factor(&mut self.rng, &mut m.rf, &mut m.glb);
+                    move_factor(&mut self.rng, table, &mut m.rf, &mut m.glb);
                 }
             }
             4 => {
                 // Collapse one dim's DRAM factor entirely into the GLB
                 // tile: the big jump toward maximal on-chip residency,
                 // where most low-energy schedules live.
-                let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| m.dram[d] > 1).collect();
-                if let Some(&d) = eligible.choose(&mut self.rng) {
+                if let Some(d) = choose_dim(&mut self.rng, &Dim::ALL, |d| m.dram[d] > 1) {
                     m.glb[d] *= m.dram[d];
                     m.dram[d] = 1;
                 }
@@ -299,9 +310,9 @@ impl<'a> GuidedSampler<'a> {
                 // the smallest prime), so distant factorisations are a
                 // couple of hops away instead of many.
                 if self.rng.gen_bool(0.5) {
-                    move_divisor(&mut self.rng, &mut m.dram, &mut m.glb);
+                    move_divisor(&mut self.rng, table, &mut m.dram, &mut m.glb);
                 } else {
-                    move_divisor(&mut self.rng, &mut m.glb, &mut m.dram);
+                    move_divisor(&mut self.rng, table, &mut m.glb, &mut m.dram);
                 }
             }
             7 => self.grow_spatial(m),
@@ -316,21 +327,18 @@ impl<'a> GuidedSampler<'a> {
     /// allows it — the move that reaches mappings whose parallelisation
     /// differs from every guide's.
     fn grow_spatial(&mut self, m: &mut Mapping) {
+        let base = &self.base;
+        let table = &base.table;
         let axis_x = self.rng.gen_bool(0.5);
         let (allowed, cap, extent) = if axis_x {
-            (&self.constraints.spatial_x, self.pe_x, m.spatial_x_extent())
+            (base.constraints.spatial_x, base.pe_x, m.spatial_x_extent())
         } else {
-            (&self.constraints.spatial_y, self.pe_y, m.spatial_y_extent())
+            (base.constraints.spatial_y, base.pe_y, m.spatial_y_extent())
         };
-        let eligible: Vec<Dim> = allowed
-            .iter()
-            .copied()
-            .filter(|&d| {
-                let source = m.dram[d].max(m.glb[d]);
-                source > 1 && extent * smallest_prime_factor(source) <= cap
-            })
-            .collect();
-        let Some(&d) = eligible.choose(&mut self.rng) else {
+        let Some(d) = choose_dim(&mut self.rng, allowed, |d| {
+            let source = m.dram[d].max(m.glb[d]);
+            source > 1 && extent * table.of(d, source)[1] <= cap
+        }) else {
             return;
         };
         let from = if m.dram[d] > 1 {
@@ -338,7 +346,7 @@ impl<'a> GuidedSampler<'a> {
         } else {
             &mut m.glb
         };
-        let f = smallest_prime_factor(from[d]);
+        let f = table.of(d, from[d])[1];
         if extent * f > cap {
             return;
         }
@@ -360,11 +368,10 @@ impl<'a> GuidedSampler<'a> {
         } else {
             &mut m.spatial_y
         };
-        let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| spatial[d] > 1).collect();
-        let Some(&d) = eligible.choose(&mut self.rng) else {
+        let Some(d) = choose_dim(&mut self.rng, &Dim::ALL, |d| spatial[d] > 1) else {
             return;
         };
-        let f = smallest_prime_factor(spatial[d]);
+        let f = self.base.table.of(d, spatial[d])[1];
         spatial[d] /= f;
         m.dram[d] *= f;
     }
@@ -377,8 +384,10 @@ impl<'a> GuidedSampler<'a> {
     /// intermediate extent is dominated and would never survive on the
     /// front to guide the next step.
     fn resample_spatial(&mut self, m: &mut Mapping) {
+        let base = &self.base;
+        let table = &base.table;
         let axis_x = self.rng.gen_bool(0.5);
-        let cap = if axis_x { self.pe_x } else { self.pe_y };
+        let cap = if axis_x { base.pe_x } else { base.pe_y };
         for d in Dim::ALL {
             let s = if axis_x {
                 m.spatial_x[d]
@@ -396,19 +405,16 @@ impl<'a> GuidedSampler<'a> {
         }
         loop {
             let (allowed, extent) = if axis_x {
-                (&self.constraints.spatial_x, m.spatial_x_extent())
+                (base.constraints.spatial_x, m.spatial_x_extent())
             } else {
-                (&self.constraints.spatial_y, m.spatial_y_extent())
+                (base.constraints.spatial_y, m.spatial_y_extent())
             };
-            let eligible: Vec<Dim> = allowed
-                .iter()
-                .copied()
-                .filter(|&d| m.dram[d] > 1 && extent * smallest_prime_factor(m.dram[d]) <= cap)
-                .collect();
-            let Some(&d) = eligible.choose(&mut self.rng) else {
+            let Some(d) = choose_dim(&mut self.rng, allowed, |d| {
+                m.dram[d] > 1 && extent * table.of(d, m.dram[d])[1] <= cap
+            }) else {
                 return;
             };
-            let f = smallest_prime_factor(m.dram[d]);
+            let f = table.of(d, m.dram[d])[1];
             m.dram[d] /= f;
             if axis_x {
                 m.spatial_x[d] *= f;
@@ -431,32 +437,21 @@ impl<'a> GuidedSampler<'a> {
     fn resample_temporal(&mut self, m: &mut Mapping) {
         for d in Dim::ALL {
             let b = m.dram[d] * m.glb[d] * m.rf[d];
-            let rf_cap = match d {
-                Dim::R | Dim::S => b,
-                _ => 8,
-            };
-            let rf_f = *divisors_up_to(b, rf_cap)
-                .choose(&mut self.rng)
-                .expect("1 always divides");
-            let rest = b / rf_f;
-            let glb_f = if self.rng.gen_bool(0.4) {
-                rest
-            } else {
-                *divisors(rest).choose(&mut self.rng).expect("nonempty")
-            };
-            m.rf[d] = rf_f;
-            m.glb[d] = glb_f;
-            m.dram[d] = rest / glb_f;
+            (m.rf[d], m.glb[d], m.dram[d]) = split_temporal(&mut self.rng, &self.base.table, d, b);
         }
     }
 }
 
 /// Migrate the smallest prime factor of one random dim from one
 /// temporal level to another (no-op when every factor is already 1).
-fn move_factor(rng: &mut StdRng, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
-    let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| from[d] > 1).collect();
-    if let Some(&d) = eligible.choose(rng) {
-        let f = smallest_prime_factor(from[d]);
+fn move_factor(
+    rng: &mut StdRng,
+    table: &DivisorTable,
+    from: &mut DimMap<u64>,
+    to: &mut DimMap<u64>,
+) {
+    if let Some(d) = choose_dim(rng, &Dim::ALL, |d| from[d] > 1) {
+        let f = table.of(d, from[d])[1];
         from[d] /= f;
         to[d] *= f;
     }
@@ -464,11 +459,16 @@ fn move_factor(rng: &mut StdRng, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
 
 /// Migrate a random non-trivial divisor of one random dim between
 /// temporal levels (no-op when every factor is already 1).
-fn move_divisor(rng: &mut StdRng, from: &mut DimMap<u64>, to: &mut DimMap<u64>) {
-    let eligible: Vec<Dim> = Dim::ALL.into_iter().filter(|&d| from[d] > 1).collect();
-    if let Some(&d) = eligible.choose(rng) {
-        let choices: Vec<u64> = divisors(from[d]).into_iter().filter(|&f| f > 1).collect();
-        let f = *choices.choose(rng).expect("from[d] > 1 has a divisor > 1");
+fn move_divisor(
+    rng: &mut StdRng,
+    table: &DivisorTable,
+    from: &mut DimMap<u64>,
+    to: &mut DimMap<u64>,
+) {
+    if let Some(d) = choose_dim(rng, &Dim::ALL, |d| from[d] > 1) {
+        let f = *table.of(d, from[d])[1..]
+            .choose(rng)
+            .expect("from[d] > 1 has a divisor > 1");
         from[d] /= f;
         to[d] *= f;
     }

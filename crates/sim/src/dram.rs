@@ -252,7 +252,7 @@ pub fn replay_dram(trace: &Trace, timing: DramTiming) -> DramSimResult {
     let word_bytes = u64::from(trace.word_bits).div_ceil(8);
     let mut cursors = [0u64; 3];
     for e in &trace.events {
-        let i = secureloop_loopnest::dt_index(e.dt);
+        let i = e.dt.index();
         let base = (i as u64 + 1) * TENSOR_STRIDE;
         let bytes = e.words * word_bytes;
         sim.access(base + cursors[i], bytes);

@@ -66,7 +66,7 @@ pub fn replay(trace: &Trace, arch: &Architecture) -> ReplayResult {
     let word = u64::from(trace.word_bits);
     let mut per_step: Vec<[u64; 3]> = vec![[0; 3]; trace.steps as usize];
     for e in &trace.events {
-        let i = secureloop_loopnest::dt_index(e.dt);
+        let i = e.dt.index();
         per_step[e.step as usize][i] += e.words * word;
     }
 
@@ -105,7 +105,7 @@ pub fn replay_detailed(
     let word = u64::from(trace.word_bits);
     let mut per_step: Vec<[u64; 3]> = vec![[0; 3]; trace.steps as usize];
     for e in &trace.events {
-        let i = secureloop_loopnest::dt_index(e.dt);
+        let i = e.dt.index();
         per_step[e.step as usize][i] += e.words * word;
     }
 

@@ -75,7 +75,7 @@ impl Trace {
         let mut reads = [0u64; 3];
         let mut writes = [0u64; 3];
         for e in &self.events {
-            let i = secureloop_loopnest::dt_index(e.dt);
+            let i = e.dt.index();
             if e.is_write {
                 writes[i] += e.words;
             } else {

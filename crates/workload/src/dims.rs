@@ -105,6 +105,16 @@ impl Datatype {
     /// All three datatypes in canonical order.
     pub const ALL: [Datatype; 3] = [Datatype::Weight, Datatype::Ifmap, Datatype::Ofmap];
 
+    /// Index of this datatype within [`Datatype::ALL`].
+    #[inline]
+    pub fn index(self) -> usize {
+        match self {
+            Datatype::Weight => 0,
+            Datatype::Ifmap => 1,
+            Datatype::Ofmap => 2,
+        }
+    }
+
     /// Dimensions that select a *different* element of this datatype.
     ///
     /// For the ifmap, `P`/`Q` combined with `R`/`S` address the sliding
@@ -204,6 +214,13 @@ mod tests {
         for (i, &d) in Dim::ALL.iter().enumerate() {
             assert_eq!(d.index(), i);
             assert_eq!(Dim::from_index(i), d);
+        }
+    }
+
+    #[test]
+    fn datatype_index_follows_all() {
+        for (i, &dt) in Datatype::ALL.iter().enumerate() {
+            assert_eq!(dt.index(), i);
         }
     }
 

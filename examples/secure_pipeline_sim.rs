@@ -72,7 +72,7 @@ fn main() {
     let mut protected_bytes = 0u64;
     let mut records = 0u64;
     for (i, ev) in trace.events.iter().take(200).enumerate() {
-        let tensor_id = secureloop_loopnest::dt_index(ev.dt) as u32;
+        let tensor_id = ev.dt.index() as u32;
         let payload = vec![0x5au8; block_bytes];
         let n_blocks = (ev.words as usize).div_ceil(block_bytes);
         for b in 0..n_blocks.min(4) {
